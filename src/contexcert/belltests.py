@@ -75,15 +75,16 @@ class TestVerdict:
             "bound": self.bound,
             "outcome": self.outcome.value,
             "margin": self.margin,
-            "details": _jsonable(self.details),
+            "details": jsonable(self.details),
         }
 
 
-def _jsonable(value: Any) -> Any:
+def jsonable(value: Any) -> Any:
+    """Plain JSON types: string keys, lists for tuples, Python scalars for numpy ones."""
     if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     return value

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -31,6 +32,7 @@ from .belltests import (
     sz_test,
 )
 from .dataio import (
+    _parse_value,
     dumps_json,
     ingest,
     read_constraint_system,
@@ -58,7 +60,7 @@ from .suite import (
     find_triangle,
     run_full_suite,
 )
-from .tolerances import FixedTolerance, parse_policy
+from .tolerances import parse_policy, resolve_tolerance
 
 SEED_ENV = "CONTEXCERT_SEED"
 
@@ -218,12 +220,6 @@ def cmd_generate_state_file(args) -> None:
     _print_summary({"written": str(args.out), "records": len(dataset), "seed": seed}, args)
 
 
-def _tolerance_for(policy, ksigma_fn) -> float:
-    if isinstance(policy, FixedTolerance):
-        return policy.epsilon
-    return ksigma_fn(policy.k)
-
-
 def cmd_test(args) -> None:
     dataset = ingest(args.data, args.scenario)
     policy = parse_policy(args.tolerance_policy)
@@ -235,7 +231,7 @@ def cmd_test(args) -> None:
         a_block, b_block = quad
         corr = correlation_set(dataset, [(x, y) for x in a_block for y in b_block])
         chsh_input = ChshInput(corr, a_block, b_block)
-        tol = _tolerance_for(policy, lambda k: chsh_ksigma(chsh_input, k))
+        tol = resolve_tolerance(policy, lambda k: chsh_ksigma(chsh_input, k))
         verdict = chsh_test(chsh_input, tol)
     elif args.which == "sz":
         triple = find_triangle(dataset)
@@ -243,7 +239,7 @@ def cmd_test(args) -> None:
             raise MissingSettings("sz needs three observables with all pairwise settings measured")
         corr = correlation_set(dataset, list(combinations(triple, 2)))
         triple_input = TripleInput(corr, triple, args.zero_mean_tolerance)
-        tol = _tolerance_for(policy, lambda k: sz_ksigma(triple_input, k))
+        tol = resolve_tolerance(policy, lambda k: sz_ksigma(triple_input, k))
         verdict = sz_test(triple_input, tol)
     else:  # bell-original
         quad = find_quadrupole(dataset)
@@ -267,7 +263,7 @@ def cmd_test(args) -> None:
             a2, b1 = max(cross, key=lambda p: (abs(corr.value(*p)), p))
         a1 = a_block[0] if a_block[1] == a2 else a_block[1]
         b2 = b_block[0] if b_block[1] == b1 else b_block[1]
-        tol = _tolerance_for(policy, lambda k: original_bell_ksigma(corr, a1, a2, b1, b2, k))
+        tol = resolve_tolerance(policy, lambda k: original_bell_ksigma(corr, a1, a2, b1, b2, k))
         verdict = original_bell_test(
             corr, a1=a1, a2=a2, b1=b1, b2=b2, delta=args.delta, tolerance=tol
         )
@@ -287,7 +283,9 @@ def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
         if token == "prime":
             selections.append(PlaceSelection.prime_index())
         elif token.startswith("after:"):
-            pattern = tuple(_symbol(ch) for ch in token[len("after:"):])
+            # one symbol per character, except that '-' joins the digit after it
+            symbols = re.findall(r"-\d|.", token[len("after:"):])
+            pattern = tuple(_parse_value(sym) for sym in symbols)
             selections.append(PlaceSelection.after_pattern(pattern))
         elif token.startswith("mod:"):
             _, m, r = token.split(":")
@@ -302,14 +300,8 @@ def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
     return selections
 
 
-def _symbol(ch: str):
-    try:
-        return int(ch)
-    except ValueError:
-        return ch
-
-
 def cmd_randomness(args) -> None:
+    seed = _resolve_seed(args.seed)
     if args.stream:
         seq = read_label_stream(args.stream)
     elif args.data and args.scenario and args.setting and args.observable:
@@ -326,7 +318,6 @@ def cmd_randomness(args) -> None:
         raise ContexcertError(
             "provide --stream, or --data/--scenario/--setting/--observable"
         )
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV, "0"))
     selections = _parse_selections(args.selections, seed)
     policy = parse_policy(args.policy)
     report = randomness_test(seq, selections, policy, args.min_retained)
@@ -334,11 +325,12 @@ def cmd_randomness(args) -> None:
 
 
 def cmd_full_suite(args) -> None:
+    seed = _resolve_seed(args.seed)
     dataset = ingest(args.data, args.scenario)
     config = RunConfig(
         tolerance_policy=parse_policy(args.tolerance_policy),
         randomness_policy=parse_policy(args.randomness_policy),
-        seed=args.seed if args.seed is not None else int(os.environ.get(SEED_ENV, "0")),
+        seed=seed,
         delta=args.delta,
         zero_mean_tolerance=args.zero_mean_tolerance,
         min_retained=args.min_retained,

@@ -14,8 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable
 
-import numpy as np
-
 from .errors import ContexcertError
 from .jpdoracle import MarginalConstraintSystem
 from .randomtests import LabelSequence
@@ -84,12 +82,7 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     lines = [CSV_HEADER]
     for setting, rows in dataset.blocks():
         prefix = "+".join(setting)
-        if isinstance(rows, np.ndarray):
-            for row in rows:
-                lines.append(f"{prefix};{','.join(str(int(v)) for v in row)}")
-        else:
-            for row in rows:
-                lines.append(f"{prefix};{','.join(str(v) for v in row)}")
+        lines.extend(f"{prefix};{','.join(map(str, row))}" for row in rows.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -102,7 +95,12 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
     if lines[0].strip() != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
 
+    # Each distinct outcome text is parsed and checked once per block, and the
+    # setting's compatibility once, at the block's first record; every check
+    # still runs before any later line is read, so errors name the first
+    # offending line.
     blocks: list[tuple[tuple[str, ...], list[tuple]]] = []
+    prefix = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -110,24 +108,30 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
         parts = line.split(";")
         if len(parts) != 2:
             raise ParseError("expected exactly one ';' separator", line=lineno)
-        setting = tuple(tok.strip() for tok in parts[0].split("+"))
-        outcomes = tuple(_parse_value(tok) for tok in parts[1].split(","))
-        if len(setting) != len(outcomes):
-            raise ParseError(
-                f"{len(setting)} setting ids but {len(outcomes)} outcomes", line=lineno
-            )
-        try:
-            for obs_id, value in zip(setting, outcomes):
-                if value not in scenario.observable(obs_id).alphabet:
-                    raise ContexcertError(f"outcome {value!r} not in alphabet of {obs_id}")
-            if not scenario.is_compatible(setting):
-                raise ContexcertError(f"setting {setting} is not jointly measurable")
-        except ContexcertError as exc:
-            raise ValidationError(str(exc), index=lineno - 2) from None
-        if blocks and blocks[-1][0] == setting:
-            blocks[-1][1].append(outcomes)
-        else:
-            blocks.append((setting, [outcomes]))
+        if parts[0] != prefix:
+            prefix = parts[0]
+            setting = tuple(tok.strip() for tok in prefix.split("+"))
+            if not blocks or blocks[-1][0] != setting:
+                blocks.append((setting, []))
+                parsed: dict[str, tuple] = {}
+        rows = blocks[-1][1]
+        outcomes = parsed.get(parts[1])
+        if outcomes is None:
+            outcomes = tuple(_parse_value(tok) for tok in parts[1].split(","))
+            if len(setting) != len(outcomes):
+                raise ParseError(
+                    f"{len(setting)} setting ids but {len(outcomes)} outcomes", line=lineno
+                )
+            try:
+                for obs_id, value in zip(setting, outcomes):
+                    if value not in scenario.observable(obs_id).alphabet:
+                        raise ContexcertError(f"outcome {value!r} not in alphabet of {obs_id}")
+                if not rows and not scenario.is_compatible(setting):
+                    raise ContexcertError(f"setting {setting} is not jointly measurable")
+            except ContexcertError as exc:
+                raise ValidationError(str(exc), index=lineno - 2) from None
+            parsed[parts[1]] = outcomes
+        rows.append(outcomes)
     return Dataset.from_blocks(scenario, blocks)
 
 

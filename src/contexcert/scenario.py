@@ -13,11 +13,10 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -153,24 +152,14 @@ class OutcomeRecord:
         if len(self.setting) != len(self.outcomes):
             raise ContexcertError("setting and outcomes lengths differ")
 
-    def validate(self, scenario: Scenario) -> None:
-        if len(set(self.setting)) != len(self.setting):
-            raise ContexcertError(f"setting {self.setting} repeats an observable")
-        if not scenario.is_compatible(self.setting):
-            raise IncompatibleSetting(f"setting {self.setting} is not jointly measurable")
-        for obs_id, value in zip(self.setting, self.outcomes):
-            if value not in scenario.observable(obs_id).alphabet:
-                raise ContexcertError(
-                    f"outcome {value!r} not in alphabet of {obs_id}"
-                )
-
 
 class Dataset:
     """Ordered joint-outcome records over one scenario.
 
-    Records are stored in contiguous per-setting blocks (a numpy matrix per
-    block when the alphabet is numeric) so that large synthetic datasets stay
-    cheap to count over; iteration still yields individual
+    Records are stored in contiguous per-setting blocks, each an unsigned
+    integer matrix of alphabet indices (codes) whatever the alphabet's value
+    type, so that counting is one ``np.bincount`` per block.  :meth:`blocks`
+    decodes back to outcome values; iteration yields individual
     :class:`OutcomeRecord` values in acquisition order.
     """
 
@@ -182,16 +171,9 @@ class Dataset:
     ) -> None:
         self.scenario = scenario
         self.meta: dict[str, Any] = dict(meta or {})
-        blocks: list[tuple[tuple[str, ...], list[tuple]]] = []
-        for rec in records:
-            rec.validate(scenario)
-            if blocks and blocks[-1][0] == rec.setting:
-                blocks[-1][1].append(rec.outcomes)
-            else:
-                blocks.append((rec.setting, [rec.outcomes]))
-        self._blocks: list[tuple[tuple[str, ...], Any]] = [
-            (setting, _pack_outcomes(rows)) for setting, rows in blocks
-        ]
+        self._blocks: list[tuple[tuple[str, ...], np.ndarray]] = []
+        for setting, group in groupby(records, key=lambda rec: rec.setting):
+            self._append(setting, [rec.outcomes for rec in group])
 
     @classmethod
     def from_blocks(
@@ -207,45 +189,56 @@ class Dataset:
         """
         ds = cls(scenario, (), meta)
         for setting, rows in blocks:
-            setting = tuple(setting)
-            if len(set(setting)) != len(setting):
-                raise ContexcertError(f"setting {setting} repeats an observable")
-            if not scenario.is_compatible(setting):
-                raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
-            alphabets = scenario.alphabets(setting)
-            if isinstance(rows, np.ndarray):
-                packed: Any = np.asarray(rows, dtype=np.int64)
-                if packed.ndim != 2 or packed.shape[1] != len(setting):
-                    raise ContexcertError("outcome matrix shape does not match setting")
-                for obs, col, alphabet in zip(setting, packed.T, alphabets):
-                    if not np.isin(col, np.asarray(alphabet, dtype=np.int64)).all():
-                        raise ContexcertError(f"outcome outside alphabet of {obs}")
-            else:
-                packed = _pack_outcomes([tuple(r) for r in rows])
-                for row in _iter_rows(packed):
-                    if len(row) != len(setting):
-                        raise ContexcertError("outcome row width does not match setting")
-                    for obs, value, alphabet in zip(setting, row, alphabets):
-                        if value not in alphabet:
-                            raise ContexcertError(f"outcome {value!r} not in alphabet of {obs}")
-            if len(packed) > 0:
-                ds._blocks.append((setting, packed))
+            ds._append(tuple(setting), rows)
         return ds
 
+    def _append(self, setting: tuple[str, ...], rows: Any) -> None:
+        """Validate one block of outcome rows and store it as codes."""
+        if len(set(setting)) != len(setting):
+            raise ContexcertError(f"setting {setting} repeats an observable")
+        if not self.scenario.is_compatible(setting):
+            raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
+        values = np.asarray(rows, dtype=object)
+        if len(values) == 0:
+            return
+        if values.ndim != 2 or values.shape[1] != len(setting):
+            raise ContexcertError("outcome matrix shape does not match setting")
+        alphabets = self.scenario.alphabets(setting)
+        width = np.min_scalar_type(max(len(a) for a in alphabets) - 1)
+        codes = np.zeros(values.shape, dtype=width)
+        known = np.zeros(values.shape, dtype=bool)
+        for col, alphabet in enumerate(alphabets):
+            for code, value in enumerate(alphabet):
+                hit = values[:, col] == value
+                codes[hit, col] = code
+                known[:, col] |= hit
+        if not known.all():
+            row, col = np.argwhere(~known)[0]
+            raise ContexcertError(
+                f"outcome {values[row, col]!r} not in alphabet of {setting[col]}"
+            )
+        self._blocks.append((setting, codes))
+
     def __len__(self) -> int:
-        return sum(len(rows) for _, rows in self._blocks)
+        return sum(len(codes) for _, codes in self._blocks)
 
     def __iter__(self) -> Iterator[OutcomeRecord]:
-        for setting, rows in self._blocks:
-            for row in _iter_rows(rows):
+        for setting, rows in self.blocks():
+            for row in rows.tolist():
                 yield OutcomeRecord(setting, row)
 
-    @property
-    def records(self) -> tuple[OutcomeRecord, ...]:
-        return tuple(self)
+    def blocks(self) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
+        """(setting, outcome-value matrix) per block, in acquisition order.
 
-    def blocks(self) -> Iterator[tuple[tuple[str, ...], Any]]:
-        return iter(self._blocks)
+        Integer alphabets decode to an int64 matrix, any other alphabet to an
+        object matrix holding the alphabet's own values.
+        """
+        for setting, codes in self._blocks:
+            columns = [
+                _value_array(alphabet)[codes[:, col]]
+                for col, alphabet in enumerate(self.scenario.alphabets(setting))
+            ]
+            yield setting, np.column_stack(columns)
 
     def settings(self) -> tuple[tuple[str, ...], ...]:
         """Distinct canonical settings in first-appearance order."""
@@ -254,24 +247,17 @@ class Dataset:
             seen.setdefault(self.scenario.canonical_setting(setting), None)
         return tuple(seen)
 
-    def count_for(self, setting: Iterable[str]) -> int:
-        target = frozenset(setting)
-        return sum(len(rows) for s, rows in self._blocks if frozenset(s) == target)
+
+def _value_array(alphabet: tuple) -> np.ndarray:
+    """The alphabet as a code -> value lookup array."""
+    if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in alphabet):
+        return np.asarray(alphabet, dtype=np.int64)
+    return np.asarray(alphabet, dtype=object)
 
 
-def _pack_outcomes(rows: list[tuple]) -> Any:
-    """Store outcome rows as an int matrix when possible, else a tuple list."""
-    if rows and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in rows[0]):
-        return np.asarray(rows, dtype=np.int64)
-    return list(rows)
-
-
-def _iter_rows(rows: Any) -> Iterator[tuple]:
-    if isinstance(rows, np.ndarray):
-        for row in rows:
-            yield tuple(int(v) for v in row)
-    else:
-        yield from rows
+def _value_order(cell: tuple) -> tuple:
+    """Ascending outcome-value order, numbers before strings."""
+    return tuple((isinstance(v, str), v) for v in cell)
 
 
 @dataclass(frozen=True)
@@ -323,12 +309,6 @@ class ProbTable:
         """All outcome tuples in lexicographic (alphabet-declared) order."""
         return product(*self.alphabets)
 
-    def alphabet_of(self, obs_id: str) -> tuple:
-        try:
-            return self.alphabets[self.support.index(obs_id)]
-        except ValueError:
-            raise UnknownObservable(f"{obs_id!r} not in table support") from None
-
     def mean(self, obs_id: str) -> float:
         """Expectation of a numeric observable under this table's marginal."""
         marg = marginalize(self, (obs_id,))
@@ -358,32 +338,33 @@ def estimate_table(dataset: Dataset, setting: Sequence[str]) -> ProbTable:
     canonical = scenario.canonical_setting(setting)
     if not scenario.is_compatible(canonical):
         raise IncompatibleSetting(f"setting {tuple(setting)} is not jointly measurable")
+    alphabets = scenario.alphabets(canonical)
+    radices = tuple(len(a) for a in alphabets)
     target = frozenset(canonical)
 
-    counts: Counter = Counter()
-    total = 0
-    for block_setting, rows in dataset.blocks():
+    counts = np.zeros(math.prod(radices), dtype=np.int64)
+    for block_setting, codes in dataset._blocks:
         if frozenset(block_setting) != target:
             continue
-        perm = [block_setting.index(obs) for obs in canonical]
-        if isinstance(rows, np.ndarray):
-            arr = rows[:, perm]
-            uniq, cnt = np.unique(arr, axis=0, return_counts=True)
-            for row, c in zip(uniq, cnt):
-                counts[tuple(int(v) for v in row)] += int(c)
-            total += arr.shape[0]
-        else:
-            for row in rows:
-                counts[tuple(row[p] for p in perm)] += 1
-                total += 1
+        cell = np.zeros(len(codes), dtype=np.intp)
+        for obs, radix in zip(canonical, radices):
+            cell = cell * radix + codes[:, block_setting.index(obs)]
+        counts += np.bincount(cell, minlength=len(counts))
+    total = int(counts.sum())
     if total == 0:
         raise UnknownSetting(f"no records for setting {tuple(setting)}")
 
-    probs = {cell: count / total for cell, count in counts.items()}
+    counted = [
+        (tuple(a[c] for a, c in zip(alphabets, np.unravel_index(i, radices))), int(counts[i]))
+        for i in np.flatnonzero(counts)
+    ]
+    # nonzero cells enter the table in ascending outcome-value order
+    counted.sort(key=lambda item: _value_order(item[0]))
+    probs = {cell: count / total for cell, count in counted}
     return ProbTable(
         support=canonical,
         probs=probs,
-        alphabets=scenario.alphabets(canonical),
+        alphabets=alphabets,
         sample_size=total,
     )
 
@@ -479,12 +460,17 @@ class CorrelationSet:
     def sample_size(self, a: str, b: str) -> int | None:
         return self.sample_sizes.get(pair_key(a, b))
 
-    def max_abs_mean(self, ids: Iterable[str] | None = None) -> float:
-        ids = tuple(ids) if ids is not None else tuple(self.means)
-        return max((abs(self.means.get(i, 0.0)) for i in ids), default=0.0)
+    def max_abs_mean(self, ids: Iterable[str]) -> float:
+        """Largest |mean| of ``ids`` over every context each was measured in.
 
-    def is_zero_mean(self, tolerance: float) -> bool:
-        return self.max_abs_mean() <= tolerance
+        Observables without recorded candidates fall back to ``means``.
+        """
+        worst = 0.0
+        for obs in ids:
+            candidates = [m for _, m in self.mean_candidates.get(obs, ())]
+            for m in candidates or [self.means.get(obs, 0.0)]:
+                worst = max(worst, abs(m))
+        return worst
 
 
 def correlation_set(dataset: Dataset, pairs: Sequence[tuple[str, str]]) -> CorrelationSet:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import __version__
 from .belltests import (
     ChshInput,
@@ -26,6 +24,7 @@ from .belltests import (
     ZeroMeanViolated,
     chsh_ksigma,
     chsh_test,
+    jsonable,
     original_bell_ksigma,
     original_bell_test,
     sz_ksigma,
@@ -42,11 +41,7 @@ from .randomtests import (
 )
 from .scenario import Dataset, correlation_set
 from .signaling import NoSharedObservables, no_signaling_test
-from .tolerances import (
-    FixedTolerance,
-    StatisticalTolerance,
-    TolerancePolicy,
-)
+from .tolerances import StatisticalTolerance, TolerancePolicy, resolve_tolerance
 
 
 class MissingSettings(ContexcertError):
@@ -127,12 +122,6 @@ def find_triangle(dataset: Dataset) -> tuple[str, str, str] | None:
     return None
 
 
-def _test_tolerance(policy: TolerancePolicy, ksigma_fn) -> float:
-    if isinstance(policy, FixedTolerance):
-        return policy.epsilon
-    return ksigma_fn(policy.k)
-
-
 def default_battery(seq: LabelSequence, coin_seed: int) -> list[PlaceSelection]:
     pattern = seq.labels[:2] if len(seq.labels) >= 2 else seq.labels[:1] * 2
     return [
@@ -152,16 +141,8 @@ def extract_streams(dataset: Dataset) -> dict[str, LabelSequence]:
     columns: dict[str, list] = {}
     for setting, rows in dataset.blocks():
         key_base = "+".join(dataset.scenario.canonical_setting(setting))
-        if isinstance(rows, np.ndarray):
-            data = rows
-        else:
-            data = list(rows)
-        for pos, obs in enumerate(setting):
-            key = f"{obs}@{key_base}"
-            if isinstance(data, np.ndarray):
-                columns.setdefault(key, []).extend(int(v) for v in data[:, pos])
-            else:
-                columns.setdefault(key, []).extend(row[pos] for row in data)
+        for obs, column in zip(setting, rows.T.tolist()):
+            columns.setdefault(f"{obs}@{key_base}", []).extend(column)
     streams = {}
     for key in sorted(columns):
         obs_id = key.split("@", 1)[0]
@@ -198,7 +179,7 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
         cross = [(x, y) for x in a_block for y in b_block]
         corr = correlation_set(dataset, cross)
         chsh_input = ChshInput(correlations=corr, a_block=a_block, b_block=b_block)
-        tol = _test_tolerance(config.tolerance_policy, lambda k: chsh_ksigma(chsh_input, k))
+        tol = resolve_tolerance(config.tolerance_policy, lambda k: chsh_ksigma(chsh_input, k))
         verdict = chsh_test(chsh_input, tol)
         entry = verdict.to_json()
         entry["status"] = "run"
@@ -235,7 +216,7 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
             zero_mean_tolerance=config.zero_mean_tolerance,
         )
         try:
-            tol = _test_tolerance(config.tolerance_policy, lambda k: sz_ksigma(triple_input, k))
+            tol = resolve_tolerance(config.tolerance_policy, lambda k: sz_ksigma(triple_input, k))
             verdict = sz_test(triple_input, tol)
             entry = verdict.to_json()
             entry["status"] = "run"
@@ -283,7 +264,7 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
     summary["randomness"] = rand_summary
 
     provenance = {
-        "dataset_meta": _jsonable_meta(dataset.meta),
+        "dataset_meta": jsonable(dataset.meta),
         "record_count": len(dataset),
         "settings": ["+".join(s) for s in dataset.settings()],
         "config": config.to_json(),
@@ -306,7 +287,7 @@ def _run_original_bell(verdicts, summary, corr, a_block, b_block, config) -> Non
     a1 = a_block[0] if a_block[1] == a2 else a_block[1]
     b2 = b_block[0] if b_block[1] == b1 else b_block[1]
     try:
-        tol = _test_tolerance(
+        tol = resolve_tolerance(
             config.tolerance_policy,
             lambda k: original_bell_ksigma(corr, a1, a2, b1, b2, k),
         )
@@ -327,12 +308,3 @@ def _profile_checkpoints(n: int) -> list[int]:
     fractions = (0.01, 0.03, 0.1, 0.3, 0.5, 0.75, 1.0)
     points = sorted({max(1, int(n * f)) for f in fractions})
     return [p for p in points if p <= n]
-
-
-def _jsonable_meta(meta: Mapping[str, Any]) -> dict:
-    out = {}
-    for k, v in sorted(meta.items()):
-        if isinstance(v, (np.floating, np.integer)):
-            v = v.item()
-        out[str(k)] = v
-    return out

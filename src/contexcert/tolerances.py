@@ -55,6 +55,13 @@ def parse_policy(text: str) -> TolerancePolicy:
     raise ContexcertError(f"unknown tolerance policy {text!r}")
 
 
+def resolve_tolerance(policy: TolerancePolicy, ksigma_fn) -> float:
+    """The fixed epsilon, or ``ksigma_fn(k)`` under the statistical policy."""
+    if isinstance(policy, FixedTolerance):
+        return policy.epsilon
+    return ksigma_fn(policy.k)
+
+
 def binomial_sigma(p_hat: float, n: int) -> float:
     """Standard error of a frequency estimate p_hat over n trials."""
     if n <= 0:

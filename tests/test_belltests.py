@@ -22,7 +22,15 @@ from contexcert.belltests import (
 )
 from contexcert.errors import ContexcertError
 from contexcert.quantumgen import singlet_correlation
-from contexcert.scenario import CorrelationSet
+from contexcert.jpdoracle import triple_jpd_feasible
+from contexcert.scenario import (
+    CorrelationSet,
+    Dataset,
+    Observable,
+    OutcomeRecord,
+    Scenario,
+    correlation_set,
+)
 
 R = math.sqrt(2) / 2
 
@@ -213,6 +221,28 @@ class TestSzTest:
     def test_zero_mean_gate(self):
         with pytest.raises(ZeroMeanViolated):
             sz_test(triple_input(0, 0, 0, means=(0.2, 0.0, 0.0)), 0.0)
+
+    def test_zero_mean_gate_reads_every_context(self):
+        # X1 has mean 0 in {X1, X2} but 0.5 in {X1, X3}; the first context
+        # alone would pass the gate and report a violation
+        ids = ("X1", "X2", "X3")
+        scenario = Scenario(
+            tuple(Observable(i) for i in ids),
+            tuple(frozenset(p) for p in ((ids[0], ids[1]), (ids[1], ids[2]), (ids[0], ids[2]))),
+        )
+        rows = {
+            ("X1", "X2"): [(1, -1), (-1, 1)],
+            ("X2", "X3"): [(1, -1), (-1, 1)],
+            ("X1", "X3"): [(1, -1), (1, -1), (1, -1), (-1, 1)],
+        }
+        ds = Dataset(scenario, [OutcomeRecord(s, r) for s, rs in rows.items() for r in rs])
+        corr = correlation_set(ds, list(rows))
+        assert corr.means["X1"] == 0.0
+        triple = TripleInput(corr, ids, zero_mean_tolerance=0.05)
+        with pytest.raises(ZeroMeanViolated):
+            sz_test(triple, 0.0)
+        with pytest.raises(ZeroMeanViolated):
+            triple_jpd_feasible(triple)
 
     def test_bounds_helper(self):
         assert sz_bounds(0.5, -0.25, 0.0) == (-1.0, 0.5)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from contexcert.cli import main
+from contexcert.cli import _parse_selections, main
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +199,37 @@ class TestRandomness:
         data = json.loads(out)
         assert data["verdict"] == "failed"  # strict alternation
 
+    def test_after_pattern_with_negative_symbols(self, tmp_path, capsys):
+        stream = tmp_path / "seq.txt"
+        stream.write_text("\n".join(("1", "-1")[i % 2] for i in range(10_000)) + "\n")
+        code, out, err = run_cli(
+            capsys,
+            "randomness",
+            "--stream",
+            str(stream),
+            "--selections",
+            "after:1-1",
+            "--seed",
+            "1",
+        )
+        assert code == 0, err
+        data = json.loads(out)
+        # after (1, -1) a strict alternation always shows 1
+        assert data["selections"][0]["freqs"] == {"1": 1.0, "-1": 0.0}
+        assert data["verdict"] == "failed"
+
+    def test_after_pattern_symbols(self):
+        patterns = [s.pattern for s in _parse_selections("after:1-1,after:-1-1,after:01,after:ab", 0)]
+        assert patterns == [(1, -1), (-1, -1), (0, 1), ("a", "b")]
+
+    def test_seed_required(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CONTEXCERT_SEED", raising=False)
+        stream = tmp_path / "seq.txt"
+        stream.write_text("0\n1\n" * 100)
+        code, _, err = run_cli(capsys, "randomness", "--stream", str(stream))
+        assert code == 1
+        assert "seed" in err
+
     def test_dataset_column(self, tmp_path, capsys):
         csv, scen = generate_singlet(tmp_path, capsys, n=5000)
         code, out, err = run_cli(
@@ -241,6 +272,15 @@ class TestFullSuite:
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(out1.read_text())
         assert report["summary"]["chsh"] == "passed_contextuality_test"
+
+    def test_seed_required(self, tmp_path, capsys, monkeypatch):
+        csv, scen = generate_singlet(tmp_path, capsys, n=100)
+        monkeypatch.delenv("CONTEXCERT_SEED", raising=False)
+        code, _, err = run_cli(
+            capsys, "full-suite", "--data", str(csv), "--scenario", str(scen)
+        )
+        assert code == 1
+        assert "seed" in err
 
     def test_text_format(self, tmp_path, capsys):
         csv, scen = generate_singlet(tmp_path, capsys, n=1000)

@@ -18,6 +18,7 @@ from contexcert.dataio import (
 from contexcert.jpdoracle import jpd_feasible
 from contexcert.quantumgen import planar_observable, sample_quantum_dataset, singlet_state
 from contexcert.scenario import Dataset, Observable, OutcomeRecord, Scenario
+from contexcert.suite import extract_streams
 
 
 def small_scenario():
@@ -101,6 +102,38 @@ class TestDatasetCsv:
         csv2 = tmp_path / "d2.csv"
         write_dataset_csv(loaded, csv2)
         assert csv2.read_bytes() == csv_path.read_bytes()
+
+
+    def test_string_alphabet_roundtrip(self, tmp_path):
+        s = Scenario(
+            observables=(
+                Observable("A", ("up", "down")),
+                Observable("B", (1, -1)),
+                Observable("C", (0, "z", "x")),
+            ),
+            compatible_sets=(frozenset({"A", "B"}), frozenset({"A", "C"})),
+        )
+        ab = [("up", 1), ("down", -1), ("down", 1)]
+        ca = [(0, "up"), ("x", "down"), ("z", "up"), (0, "down")]
+        ds = Dataset(
+            s,
+            [OutcomeRecord(("A", "B"), r) for r in ab]
+            + [OutcomeRecord(("C", "A"), r) for r in ca],
+        )
+        csv_path = tmp_path / "d.csv"
+        scen_path = tmp_path / "s.json"
+        write_dataset_csv(ds, csv_path)
+        write_scenario_json(s, scen_path)
+        assert csv_path.read_text().splitlines()[1:3] == ["A+B;up,1", "A+B;down,-1"]
+        loaded = ingest(csv_path, scen_path)
+        assert list(loaded) == list(ds)
+        streams = extract_streams(loaded)
+        assert sorted(streams) == ["A@A+B", "A@A+C", "B@A+B", "C@A+C"]
+        assert streams["A@A+B"].values == ("up", "down", "down")
+        assert streams["A@A+C"].values == ("up", "down", "up", "down")
+        assert streams["C@A+C"].values == (0, "x", "z", 0)
+        assert streams["C@A+C"].labels == (0, "z", "x")
+        assert streams["B@A+B"].values == (1, -1, 1)
 
 
 class TestConstraintSystem:

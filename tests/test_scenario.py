@@ -1,9 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contexcert.errors import ContexcertError
 from contexcert.quantumgen import (
@@ -119,6 +122,64 @@ class TestEstimateTable:
         ds = Dataset(s, records(("A", "B"), [(1, 1)]))
         with pytest.raises(IncompatibleSetting):
             estimate_table(ds, ("B", "C"))
+
+
+INT_VALUES = st.integers(-3, 3)
+STR_VALUES = st.sampled_from(["a", "b", "up", "-1", "1"])
+
+
+@st.composite
+def scenario_and_blocks(draw, values):
+    """A scenario over 1-3 observables, all jointly measurable, and blocks of
+    outcome rows whose settings list the observables in any order."""
+    n_obs = draw(st.integers(1, 3))
+    ids = tuple(f"X{i}" for i in range(n_obs))
+    alphabets = {
+        obs: tuple(draw(st.lists(values, min_size=1, max_size=3, unique=True)))
+        for obs in ids
+    }
+    scenario = Scenario(
+        tuple(Observable(obs, alphabets[obs]) for obs in ids), (frozenset(ids),)
+    )
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = tuple(draw(st.permutations(ids)))
+        row = st.tuples(*(st.sampled_from(alphabets[obs]) for obs in order))
+        blocks.append((order, draw(st.lists(row, max_size=30))))
+    return scenario, blocks, tuple(draw(st.permutations(ids)))
+
+
+class TestEstimateTableProperty:
+    @pytest.mark.parametrize(
+        "values",
+        [INT_VALUES, STR_VALUES, st.one_of(INT_VALUES, STR_VALUES)],
+        ids=["int", "str", "mixed"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_counter_recount(self, values, data):
+        scenario, blocks, query = data.draw(scenario_and_blocks(values))
+        ds = Dataset.from_blocks(scenario, blocks)
+        canonical = scenario.canonical_setting(query)
+        recount = Counter(
+            tuple(row[order.index(obs)] for obs in canonical)
+            for order, rows in blocks
+            for row in rows
+        )
+        total = sum(recount.values())
+        if total == 0:
+            with pytest.raises(UnknownSetting):
+                estimate_table(ds, query)
+            return
+        table = estimate_table(ds, query)
+        assert table.support == canonical
+        assert table.sample_size == total
+        assert table.probs == {cell: n / total for cell, n in recount.items()}
+        # ascending outcome-value order, numbers before strings
+        assert list(table.probs) == sorted(
+            recount, key=lambda cell: [(isinstance(v, str), v) for v in cell]
+        )
+        assert list(ds) == [OutcomeRecord(order, row) for order, rows in blocks for row in rows]
 
 
 class TestMarginalize:
