@@ -1,12 +1,17 @@
 """Phase-1 simplex for equality-constrained feasibility problems.
 
 Solves  find x >= 0 with A x = b  by minimizing the sum of artificial
-variables.  Two implementations share the same pivoting logic:
+variables.  Two implementations:
 
 * a dense numpy tableau with Dantzig pricing that falls back to Bland's
   anti-cycling rule after a run of degenerate pivots (fast path), and
-* an exact ``fractions.Fraction`` tableau using Bland's rule throughout
-  (used where tolerance ambiguity must be ruled out).
+* an exact, fraction-free integer tableau using Bland's rule throughout
+  (used where tolerance ambiguity must be ruled out).  Its rows are scaled
+  to integers by the common denominator of A and b, and every pivot uses
+  the integer-preserving update of Edmonds (J. Res. NBS 71B, 1967) and
+  Bareiss (Math. Comp. 22, 1968): each entry is a subdeterminant of the
+  scaled system, so each update divides exactly and no gcd is ever taken.
+  Its pivots and results are those of a ``Fraction`` tableau.
 
 Both return the phase-1 objective (0 iff the system is feasible, up to the
 caller's tolerance), the structural solution when one exists, and the dual
@@ -16,7 +21,10 @@ certificate: y.A <= 0 componentwise while y.b equals the positive objective.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 
 import numpy as np
 
@@ -114,55 +122,94 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
 
 
 def phase1_exact(
-    A: list[list[Fraction]], b: list[Fraction]
+    A: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Exact-rational phase-1 with Bland's rule; returns (objective, x, y)."""
+    """Exact phase-1 with Bland's rule; returns (objective, x, y) as Fractions.
+
+    ``A`` and ``b`` hold ints or Fractions.  Rows with negative ``b`` are
+    negated, then multiplied by the common denominator D of ``A`` and
+    ``b``, while the artificial identity block stays unscaled: A x + a = b
+    becomes (D A) x + a' = D b with a' = D a, the same x and each
+    artificial times D.  The integer tableau M is the rational tableau of
+    the scaled system times the last pivot p (p = 1 at the start).  A pivot
+    on entry q = M[l][e] keeps row l and replaces every other row i by
+    (M[i][j]*q - M[i][e]*M[l][j]) // p, an exact division; then p = q.
+
+    Every pivot is the one a Fraction tableau of the unscaled system takes:
+    p > 0 throughout, so signs are kept; the structural reduced costs are D
+    times the unscaled ones; each row is the unscaled tableau's row times D
+    (an artificial is basic in it) or 1 (a structural variable is), so the
+    ratio test (cross-multiplied, ties to the lower basis index) ranks the
+    rows alike.  Hence x = rhs/p, y = (p - cost)/p over
+    the artificial columns, and the objective is -rhs/(p*D) of the cost row.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     if len(b) != m:
         raise ContexcertError("b length does not match A rows")
 
-    zero, one = Fraction(0), Fraction(1)
+    scale = lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
     flip = [bi < 0 for bi in b]
-    rows = [
-        [(-v if f else v) for v in row] + [one if i == j else zero for j in range(m)]
-        for i, (row, f) in enumerate(zip(A, flip))
-    ]
-    rhs = [(-bi if fi else bi) for bi, fi in zip(b, flip)]
-    cost = [-sum(rows[i][j] for i in range(m)) for j in range(n)] + [zero] * m
-    cost_rhs = -sum(rhs)
+    rows = []
+    for i, (row, bi, f) in enumerate(zip(A, b, flip)):
+        s = -scale if f else scale
+        tableau_row = [v.numerator * (s // v.denominator) for v in row] + [0] * m
+        tableau_row[n + i] = 1
+        tableau_row.append(bi.numerator * (s // bi.denominator))
+        rows.append(tableau_row)
+    # Phase-1 reduced costs; the last slot holds minus the objective, as a
+    # row's last slot holds its right-hand side.
+    cost = [-sum(col) for col in zip(*rows)] if rows else [0]
+    cost[n : n + m] = [0] * m
     basis = list(range(n, n + m))
+    p = 1
 
     max_iter = 500 * (m + n + 10)
     for _ in range(max_iter):
         enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:
             break
-        candidates = [(rhs[i] / rows[i][enter], basis[i], i) for i in range(m) if rows[i][enter] > 0]
-        if not candidates:
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        if leave is None:
             raise SimplexFailure("unbounded phase-1 column in exact mode")
-        _, _, leave = min(candidates)
 
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                factor = rows[i][enter]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[leave])]
-                rhs[i] -= factor * rhs[leave]
-        if cost[enter] != 0:
-            factor = cost[enter]
-            cost = [v - factor * w for v, w in zip(cost, rows[leave])]
-            cost_rhs -= factor * rhs[leave]
+        pivot_row = rows[leave]
+        q = pivot_row[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = _edmonds_update(row, pivot_row, enter, q, p)
+        cost = _edmonds_update(cost, pivot_row, enter, q, p)
+        p = q
         basis[leave] = enter
     else:
         raise SimplexFailure("exact phase-1 iteration limit exceeded")
 
-    objective = -cost_rhs
-    x = [zero] * (n + m)
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
-    y = [one - cost[n + i] for i in range(m)]
-    y = [(-v if f else v) for v, f in zip(y, flip)]
-    return objective, x[:n], y
+    objective = Fraction(-cost[-1], p * scale)
+    x = [Fraction(0)] * n
+    for row, j in zip(rows, basis):
+        if j < n:
+            x[j] = Fraction(row[-1], p)
+    y = [
+        Fraction(cost[n + i] - p if f else p - cost[n + i], p)
+        for i, f in enumerate(flip)
+    ]
+    return objective, x, y
+
+
+def _edmonds_update(row: list[int], pivot_row: list[int], enter: int, q: int, p: int) -> list[int]:
+    """One row of the integer pivot; every division is exact."""
+    f = row[enter]
+    if f:
+        return [(v * q - f * w) // p for v, w in zip(row, pivot_row)]
+    if q == p:
+        return row
+    return [v * q // p for v in row]

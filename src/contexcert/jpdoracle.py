@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Any
 
 import numpy as np
@@ -240,15 +241,23 @@ def jpd_feasible(
 
 def _solve_exact(system, A, row_cells) -> FeasibilityResult:
     n = len(system.variables)
-    for _, table in system.constraints:
+    for ci, (sup, table) in enumerate(system.constraints):
         if not table.is_exact:
             raise ContexcertError("exact mode requires Fraction-valued tables")
-    A_frac = [[Fraction(int(v)) for v in row] for row in np.asarray(A, dtype=np.int64)]
+        # _lp_pattern drops each table's last cell as implied by normalization,
+        # which holds only up to NORMALIZATION_TOL unless the sum is exactly 1
+        total = sum(table.probs.values())
+        if total != 1:
+            raise ContexcertError(
+                f"exact mode requires each table to sum to exactly 1; "
+                f"constraint {ci} over {','.join(sup)} sums to {total}"
+            )
+    A_int = np.asarray(A, dtype=np.int64).tolist()
     b = [Fraction(1)]
     for rc in row_cells[1:]:
         ci, cell = rc
         b.append(Fraction(system.constraints[ci][1].prob(cell)))
-    objective, x, y = _simplex.phase1_exact(A_frac, b)
+    objective, x, y = _simplex.phase1_exact(A_int, b)
 
     if objective == 0:
         probs = {
@@ -261,10 +270,13 @@ def _solve_exact(system, A, row_cells) -> FeasibilityResult:
         )
         return FeasibilityResult("feasible", witness, None, slack=0.0)
 
-    functional = [
-        sum(y[r] * A_frac[r][j] for r in range(len(A_frac))) for j in range(1 << n)
-    ]
-    bound = max(functional)
+    # The functional's maximum over atoms, on integer numerators of y.
+    denominator = lcm(*(yr.denominator for yr in y))
+    numerators = [yr.numerator * (denominator // yr.denominator) for yr in y]
+    bound = Fraction(
+        max(sum(yr * a for yr, a in zip(numerators, col)) for col in zip(*A_int)),
+        denominator,
+    )
     value = sum(yi * bi for yi, bi in zip(y, b))
     certificate = InfeasibilityCertificate(
         normalization_coeff=y[0],

@@ -180,6 +180,48 @@ class TestOracle:
         assert data["status"] == "infeasible"
         assert data["certificate"]["slack"] > 0
 
+    def write_system(self, tmp_path, variables, constraints):
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(json.dumps({"variables": variables, "constraints": constraints}))
+        return str(sys_path)
+
+    def test_exact_feasible(self, tmp_path, capsys):
+        constraints = [
+            {"support": ["A", "B"], "probs": {"1,1": 0.3, "1,-1": 0.2, "-1,1": 0.2, "-1,-1": 0.3}},
+            {"support": ["B", "C"], "probs": {"1,1": 0.1, "1,-1": 0.4, "-1,1": 0.4, "-1,-1": 0.1}},
+        ]
+        path = self.write_system(tmp_path, ["A", "B", "C"], constraints)
+        code, out, err = run_cli(capsys, "oracle", "--constraints", path, "--exact")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["status"] == "feasible"
+        assert sum(data["witness"]["probs"].values()) == pytest.approx(1.0)
+
+    def test_exact_pr_box_certificate(self, tmp_path, capsys):
+        same = {"1,1": 0.5, "-1,-1": 0.5}
+        constraints = [
+            {"support": ["A1", "B1"], "probs": same},
+            {"support": ["A1", "B2"], "probs": same},
+            {"support": ["A2", "B1"], "probs": same},
+            {"support": ["A2", "B2"], "probs": {"1,-1": 0.5, "-1,1": 0.5}},
+        ]
+        path = self.write_system(tmp_path, ["A1", "A2", "B1", "B2"], constraints)
+        code, out, err = run_cli(capsys, "oracle", "--constraints", path, "--exact")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["status"] == "infeasible"
+        cert = data["certificate"]
+        assert cert["value"] > cert["bound"]
+
+    def test_exact_rejects_table_not_summing_to_one(self, tmp_path, capsys):
+        third = 0.3333333333333333
+        constraints = [{"support": ["A", "B"], "probs": {"1,1": third, "1,-1": third, "-1,1": third}}]
+        path = self.write_system(tmp_path, ["A", "B"], constraints)
+        code, out, err = run_cli(capsys, "oracle", "--constraints", path, "--exact")
+        assert code == 1
+        assert out == ""
+        assert "sum to exactly 1" in err
+
 
 class TestRandomness:
     def test_stream_battery(self, tmp_path, capsys):

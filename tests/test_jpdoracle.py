@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -268,3 +269,116 @@ class TestExactMode:
                         marg = marginalize(res.witness, sup)
                         for cell in table.cells():
                             assert marg.prob(cell) == table.prob(cell)
+
+    def test_rejects_table_not_summing_to_one(self):
+        # within NORMALIZATION_TOL, so ProbTable accepts it; the dropped last
+        # cell would otherwise let the witness miss the (-1,-1) cell
+        table = pair_table_from_correlation(("X1", "X2"), Fraction(1, 2), exact=True)
+        probs = dict(table.probs)
+        probs[(-1, -1)] += Fraction(1, 2 * 10**12)
+        bad = ProbTable(("X1", "X2"), probs, table.alphabets)
+        system = MarginalConstraintSystem(("X1", "X2"), ((("X1", "X2"), bad),))
+        with pytest.raises(ContexcertError, match="constraint 0 over X1,X2"):
+            jpd_feasible(system, exact=True)
+
+
+def cycle_system(correlations, exact):
+    """Zero-mean pair tables on the cycle X1-X2-...-Xn-X1."""
+    n = len(correlations)
+    ids = tuple(f"X{i + 1}" for i in range(n))
+    pairs = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+    return MarginalConstraintSystem(
+        ids,
+        tuple(
+            (pair, pair_table_from_correlation(pair, c, exact))
+            for pair, c in zip(pairs, correlations)
+        ),
+    )
+
+
+def s_odd(values):
+    """max of sum(s_i * v_i) over sign vectors with an odd number of -1's."""
+    return max(
+        sum(s * v for s, v in zip(signs, values))
+        for signs in product((1, -1), repeat=len(values))
+        if signs.count(-1) % 2
+    )
+
+
+def boundary_cycle(rng, n):
+    """A 1/10-grid cycle with s_odd exactly n - 2."""
+    while True:
+        signs = [rng.choice((1, -1)) for _ in range(n - 1)]
+        signs.append(-1 if signs.count(-1) % 2 == 0 else 1)
+        head = [Fraction(rng.randint(-10, 10), 10) for _ in range(n - 1)]
+        last = signs[-1] * ((n - 2) - sum(s * c for s, c in zip(signs, head)))
+        corr = (*head, last)
+        if abs(last) <= 1 and s_odd(corr) == n - 2:
+            return corr
+
+
+def witness_marginal(witness, variables, sup, cell):
+    idx = [variables.index(v) for v in sup]
+    return sum(p for atom, p in witness.probs.items() if tuple(atom[i] for i in idx) == cell)
+
+
+def certificate_over_atoms(system, cert):
+    """(value on the data, max over all 2^n atoms), recomputed in Fractions
+    from the certificate's coefficients; Fraction(float) is exact."""
+    value = Fraction(cert.normalization_coeff) + sum(
+        Fraction(c) * Fraction(system.constraints[ci][1].prob(cell))
+        for ci, cell, c in cert.cell_coeffs
+    )
+    bound = max(
+        Fraction(cert.normalization_coeff)
+        + sum(
+            Fraction(c)
+            for ci, cell, c in cert.cell_coeffs
+            if tuple(atom[system.variables.index(v)] for v in system.constraints[ci][0]) == cell
+        )
+        for atom in product((1, -1), repeat=len(system.variables))
+    )
+    return value, bound
+
+
+class TestCycleResultsIndependently:
+    """Every result checked without the solver: the decision against
+    s_odd(c) <= n - 2 (Araujo et al., PRA 88, 022118), witnesses by summing
+    atoms, certificates by evaluating them over every atom."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_exact_cycles(self, n):
+        rng = random.Random(40 + n)
+        cycles = [tuple(Fraction(rng.randint(-10, 10), 10) for _ in range(n)) for _ in range(40)]
+        cycles += [boundary_cycle(rng, n) for _ in range(20)]
+        for corr in cycles:
+            system = cycle_system(corr, exact=True)
+            res = jpd_feasible(system, exact=True)
+            assert res.feasible == (s_odd(corr) <= n - 2), corr
+            if res.feasible:
+                for sup, table in system.constraints:
+                    for cell in table.cells():
+                        got = witness_marginal(res.witness, system.variables, sup, cell)
+                        assert got == table.prob(cell)
+            else:
+                cert = res.certificate
+                value, bound = certificate_over_atoms(system, cert)
+                assert (value, bound) == (cert.value, cert.bound)
+                assert value > bound
+
+    def test_float_certificates_separate_exactly(self):
+        rng = np.random.default_rng(2024)
+        for k in range(300):
+            n = 3 + k % 3
+            corr = rng.uniform(-1, 1, n)
+            system = cycle_system(corr, exact=False)
+            res = jpd_feasible(system)
+            assert res.feasible == (s_odd(corr) <= n - 2), corr
+            if res.feasible:
+                for sup, table in system.constraints:
+                    for cell in table.cells():
+                        got = witness_marginal(res.witness, system.variables, sup, cell)
+                        assert abs(got - table.prob(cell)) <= 1e-9
+            else:
+                value, bound = certificate_over_atoms(system, res.certificate)
+                assert value > bound, corr
