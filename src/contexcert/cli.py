@@ -15,22 +15,11 @@ import math
 import os
 import re
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .belltests import (
-    ChshInput,
-    TripleInput,
-    chsh_ksigma,
-    chsh_test,
-    original_bell_ksigma,
-    original_bell_test,
-    sz_ksigma,
-    sz_test,
-)
 from .dataio import (
     _parse_value,
     dumps_json,
@@ -52,15 +41,8 @@ from .quantumgen import (
     sphere_lhv_model,
 )
 from .randomtests import PlaceSelection, randomness_test
-from .scenario import correlation_set
-from .suite import (
-    MissingSettings,
-    RunConfig,
-    find_quadrupole,
-    find_triangle,
-    run_full_suite,
-)
-from .tolerances import parse_policy, resolve_tolerance
+from .suite import RunConfig, run_full_suite, run_inequality_test
+from .tolerances import parse_policy
 
 SEED_ENV = "CONTEXCERT_SEED"
 
@@ -222,52 +204,14 @@ def cmd_generate_state_file(args) -> None:
 
 def cmd_test(args) -> None:
     dataset = ingest(args.data, args.scenario)
-    policy = parse_policy(args.tolerance_policy)
-
-    if args.which == "chsh":
-        quad = find_quadrupole(dataset)
-        if quad is None:
-            raise MissingSettings("chsh needs four observables with all cross pairs measured")
-        a_block, b_block = quad
-        corr = correlation_set(dataset, [(x, y) for x in a_block for y in b_block])
-        chsh_input = ChshInput(corr, a_block, b_block)
-        tol = resolve_tolerance(policy, lambda k: chsh_ksigma(chsh_input, k))
-        verdict = chsh_test(chsh_input, tol)
-    elif args.which == "sz":
-        triple = find_triangle(dataset)
-        if triple is None:
-            raise MissingSettings("sz needs three observables with all pairwise settings measured")
-        corr = correlation_set(dataset, list(combinations(triple, 2)))
-        triple_input = TripleInput(corr, triple, args.zero_mean_tolerance)
-        tol = resolve_tolerance(policy, lambda k: sz_ksigma(triple_input, k))
-        verdict = sz_test(triple_input, tol)
-    else:  # bell-original
-        quad = find_quadrupole(dataset)
-        if quad is None:
-            raise MissingSettings(
-                "bell-original needs four observables with all cross pairs measured"
-            )
-        a_block, b_block = quad
-        cross = [(x, y) for x in a_block for y in b_block]
-        corr = correlation_set(dataset, cross)
-        if args.constraint_pair:
-            a2, _, b1 = args.constraint_pair.partition("+")
-            if a2 in b_block:  # accept either order
-                a2, b1 = b1, a2
-            if a2 not in a_block or b1 not in b_block:
-                raise ContexcertError(
-                    f"--constraint-pair {args.constraint_pair} does not name one "
-                    f"observable from each detected block {a_block} / {b_block}"
-                )
-        else:
-            a2, b1 = max(cross, key=lambda p: (abs(corr.value(*p)), p))
-        a1 = a_block[0] if a_block[1] == a2 else a_block[1]
-        b2 = b_block[0] if b_block[1] == b1 else b_block[1]
-        tol = resolve_tolerance(policy, lambda k: original_bell_ksigma(corr, a1, a2, b1, b2, k))
-        verdict = original_bell_test(
-            corr, a1=a1, a2=a2, b1=b1, b2=b2, delta=args.delta, tolerance=tol
-        )
-    _emit(verdict.to_json(), args)
+    config = RunConfig(
+        tolerance_policy=parse_policy(args.tolerance_policy),
+        delta=args.delta,
+        zero_mean_tolerance=args.zero_mean_tolerance,
+    )
+    which = "suppes-zanotti" if args.which == "sz" else args.which
+    run = run_inequality_test(dataset, which, config, args.constraint_pair)
+    _emit(run.verdict.to_json(), args)
 
 
 def cmd_oracle(args) -> None:

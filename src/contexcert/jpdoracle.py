@@ -154,16 +154,25 @@ def _atom_outcomes(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if ((j >> (n - 1 - i)) & 1) == 0 else -1 for i in range(n))
 
 
-def _signaling_precheck(system: MarginalConstraintSystem, tol: float) -> None:
+def _signaling_precheck(system: MarginalConstraintSystem, tol: float, exact: bool) -> None:
     # Direct marginal sums; building ProbTable objects here would dominate
-    # the runtime of grid-scale feasibility sweeps.
-    plus_marginals: dict[str, list[float]] = {}
+    # the runtime of grid-scale feasibility sweeps.  Exact tables are summed
+    # as integer numerators over one common denominator, which is exact and
+    # avoids a gcd per Fraction addition.
+    if exact:
+        denominator = lcm(
+            *(p.denominator for _, table in system.constraints for p in table.probs.values())
+        )
+        value = lambda p: p.numerator * (denominator // p.denominator)
+    else:
+        value = float
+    plus_marginals: dict[str, list] = {}
     for sup, table in system.constraints:
         for pos, obs in enumerate(sup):
-            p_plus = 0.0
+            p_plus = 0
             for cell, p in table.probs.items():
                 if cell[pos] == 1:
-                    p_plus += float(p)
+                    p_plus += value(p)
             plus_marginals.setdefault(obs, []).append(p_plus)
     for obs, values in plus_marginals.items():
         if len(values) >= 2 and max(values) - min(values) > tol:
@@ -183,15 +192,17 @@ def jpd_feasible(
 
     ``feasibility_tol`` bounds the phase-1 objective (total residual mass)
     below which the system counts as feasible.  In ``exact`` mode every
-    constraint table must carry Fraction/int probabilities and the decision
-    is tolerance-free.
+    constraint table must carry Fraction/int probabilities summing to exactly
+    1, and the decision, signaling precheck included, is tolerance-free.
     """
     n = len(system.variables)
     if n > MAX_VARIABLES:
         raise TooManyVariables(f"{n} variables exceed the cap of {MAX_VARIABLES}")
     if n == 0 or not system.constraints:
         raise ContexcertError("constraint system is empty")
-    _signaling_precheck(system, signaling_tol)
+    if exact:
+        _check_exact_tables(system)
+    _signaling_precheck(system, 0 if exact else signaling_tol, exact)
 
     var_index = {v: i for i, v in enumerate(system.variables)}
     supports = tuple(
@@ -239,8 +250,7 @@ def jpd_feasible(
     return FeasibilityResult("infeasible", None, certificate, slack=certificate.slack)
 
 
-def _solve_exact(system, A, row_cells) -> FeasibilityResult:
-    n = len(system.variables)
+def _check_exact_tables(system: MarginalConstraintSystem) -> None:
     for ci, (sup, table) in enumerate(system.constraints):
         if not table.is_exact:
             raise ContexcertError("exact mode requires Fraction-valued tables")
@@ -252,6 +262,10 @@ def _solve_exact(system, A, row_cells) -> FeasibilityResult:
                 f"exact mode requires each table to sum to exactly 1; "
                 f"constraint {ci} over {','.join(sup)} sums to {total}"
             )
+
+
+def _solve_exact(system, A, row_cells) -> FeasibilityResult:
+    n = len(system.variables)
     A_int = np.asarray(A, dtype=np.int64).tolist()
     b = [Fraction(1)]
     for rc in row_cells[1:]:

@@ -72,10 +72,6 @@ class Observable:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ContexcertError(f"observable {self.id}: alphabet values must be distinct")
 
-    @property
-    def is_dichotomic(self) -> bool:
-        return set(self.alphabet) == {1, -1}
-
 
 @dataclass(frozen=True)
 class Scenario:

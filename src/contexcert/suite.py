@@ -4,6 +4,8 @@ Order of operations: marginal-consistency check, applicable inequality tests
 (detected from the dataset's measured pairs), direct feasibility
 cross-checks, then the per-stream frequency-stability battery.  Tests whose
 settings are absent produce explicit skip entries instead of aborting.
+Each inequality test runs through :func:`run_inequality_test`, which the
+``test`` command calls as well.
 
 Verdicts are data: the suite always completes with exit status success as
 long as the inputs parse.
@@ -20,6 +22,7 @@ from .belltests import (
     ChshInput,
     CorrelationConstraintUnmet,
     Outcome,
+    TestVerdict,
     TripleInput,
     ZeroMeanViolated,
     chsh_ksigma,
@@ -39,7 +42,7 @@ from .randomtests import (
     randomness_test,
     stabilization_profile,
 )
-from .scenario import Dataset, correlation_set
+from .scenario import CorrelationSet, Dataset, correlation_set
 from .signaling import NoSharedObservables, no_signaling_test
 from .tolerances import StatisticalTolerance, TolerancePolicy, resolve_tolerance
 
@@ -122,6 +125,102 @@ def find_triangle(dataset: Dataset) -> tuple[str, str, str] | None:
     return None
 
 
+INEQUALITY_TESTS = ("chsh", "bell-original", "suppes-zanotti")
+
+
+@dataclass(frozen=True)
+class InequalityRun:
+    """One inequality test's verdict, its input and the roles it was run with.
+
+    ``placement`` names the detected structure for the suite report:
+    ``blocks`` for CHSH, ``roles`` for the original Bell test, ``triple``
+    for Suppes-Zanotti.
+    """
+
+    verdict: TestVerdict
+    test_input: ChshInput | TripleInput | None
+    placement: Mapping[str, Any]
+
+    def to_json(self) -> dict:
+        return {**self.verdict.to_json(), "status": "run", **self.placement}
+
+
+def run_inequality_test(
+    dataset: Dataset,
+    which: str,
+    config: RunConfig,
+    constraint_pair: str | None = None,
+    counted: dict | None = None,
+) -> InequalityRun:
+    """Detect the structure ``which`` needs, pick its roles and run it.
+
+    ``which`` is one of :data:`INEQUALITY_TESTS`.  The original Bell test's
+    constraint pair is ``constraint_pair`` ("A2+B1", either order, one
+    observable from each detected block), or else the cross pair with the
+    largest |correlation|.  ``counted`` memoizes correlation sets across
+    calls on the same dataset, so the quadrupole's tables are counted once.
+
+    Raises :class:`MissingSettings` when the dataset lacks the structure,
+    and :class:`ZeroMeanViolated` or :class:`CorrelationConstraintUnmet`
+    when a precondition of the test fails.
+    """
+    if which not in INEQUALITY_TESTS:
+        raise ContexcertError(f"unknown inequality test {which!r}")
+    counted = {} if counted is None else counted
+
+    def correlations(pairs: list) -> CorrelationSet:
+        key = tuple(pairs)
+        if key not in counted:
+            counted[key] = correlation_set(dataset, pairs)
+        return counted[key]
+
+    if which == "suppes-zanotti":
+        triangle = find_triangle(dataset)
+        if triangle is None:
+            raise MissingSettings("no three observables with all pairwise settings measured")
+        corr = correlations(list(combinations(triangle, 2)))
+        triple_input = TripleInput(corr, triangle, config.zero_mean_tolerance)
+        tol = resolve_tolerance(config.tolerance_policy, lambda k: sz_ksigma(triple_input, k))
+        verdict = sz_test(triple_input, tol)
+        return InequalityRun(verdict, triple_input, {"triple": list(triangle)})
+
+    quadrupole = find_quadrupole(dataset)
+    if quadrupole is None:
+        raise MissingSettings("no four observables with all cross pairs measured")
+    a_block, b_block = quadrupole
+    cross = [(x, y) for x in a_block for y in b_block]
+    corr = correlations(cross)
+    if which == "chsh":
+        chsh_input = ChshInput(corr, a_block, b_block)
+        tol = resolve_tolerance(config.tolerance_policy, lambda k: chsh_ksigma(chsh_input, k))
+        verdict = chsh_test(chsh_input, tol)
+        return InequalityRun(
+            verdict, chsh_input, {"blocks": {"a": list(a_block), "b": list(b_block)}}
+        )
+
+    # bell-original: the constraint pair plays (A2, B1)
+    if constraint_pair:
+        a2, _, b1 = constraint_pair.partition("+")
+        if a2 in b_block:  # accept either order
+            a2, b1 = b1, a2
+        if a2 not in a_block or b1 not in b_block:
+            raise ContexcertError(
+                f"--constraint-pair {constraint_pair} does not name one "
+                f"observable from each detected block {a_block} / {b_block}"
+            )
+    else:
+        a2, b1 = max(cross, key=lambda p: (abs(corr.value(*p)), p))
+    a1 = a_block[0] if a_block[1] == a2 else a_block[1]
+    b2 = b_block[0] if b_block[1] == b1 else b_block[1]
+    tol = resolve_tolerance(
+        config.tolerance_policy, lambda k: original_bell_ksigma(corr, a1, a2, b1, b2, k)
+    )
+    verdict = original_bell_test(
+        corr, a1=a1, a2=a2, b1=b1, b2=b2, delta=config.delta, tolerance=tol
+    )
+    return InequalityRun(verdict, None, {"roles": {"a1": a1, "a2": a2, "b1": b1, "b2": b2}})
+
+
 def default_battery(seq: LabelSequence, coin_seed: int) -> list[PlaceSelection]:
     pattern = seq.labels[:2] if len(seq.labels) >= 2 else seq.labels[:1] * 2
     return [
@@ -164,81 +263,20 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
         signaling = {"status": "skipped", "reason": str(exc)}
         summary["signaling"] = "skipped"
 
-    quadrupole = find_quadrupole(dataset)
-    if quadrupole is None:
-        verdicts.append(
-            {"test": "chsh", "status": "skipped",
-             "reason": "no four observables with all cross pairs measured"}
-        )
-        verdicts.append(
-            {"test": "bell-original", "status": "skipped",
-             "reason": "no four observables with all cross pairs measured"}
-        )
-    else:
-        a_block, b_block = quadrupole
-        cross = [(x, y) for x in a_block for y in b_block]
-        corr = correlation_set(dataset, cross)
-        chsh_input = ChshInput(correlations=corr, a_block=a_block, b_block=b_block)
-        tol = resolve_tolerance(config.tolerance_policy, lambda k: chsh_ksigma(chsh_input, k))
-        verdict = chsh_test(chsh_input, tol)
-        entry = verdict.to_json()
-        entry["status"] = "run"
-        entry["blocks"] = {"a": list(a_block), "b": list(b_block)}
-        verdicts.append(entry)
-        summary["chsh"] = verdict.outcome.value
-
-        feas = jpd_feasible(quadrupole_system_from_chsh(chsh_input))
-        oracle.append(
-            {
-                "system": "quadrupole",
-                "variables": list(a_block + b_block),
-                "status": feas.status,
-                "slack": feas.slack,
-                "agrees_with_chsh": feas.feasible
-                == (verdict.outcome is Outcome.REJECTED_NONCONTEXTUAL),
-            }
-        )
-
-        _run_original_bell(verdicts, summary, corr, a_block, b_block, config)
-
-    triangle = find_triangle(dataset)
-    if triangle is None:
-        verdicts.append(
-            {"test": "suppes-zanotti", "status": "skipped",
-             "reason": "no three observables with all pairwise settings measured"}
-        )
-    else:
-        tri_pairs = list(combinations(triangle, 2))
-        tri_corr = correlation_set(dataset, tri_pairs)
-        triple_input = TripleInput(
-            correlations=tri_corr,
-            triple=triangle,
-            zero_mean_tolerance=config.zero_mean_tolerance,
-        )
+    counted: dict = {}
+    for which in INEQUALITY_TESTS:
         try:
-            tol = resolve_tolerance(config.tolerance_policy, lambda k: sz_ksigma(triple_input, k))
-            verdict = sz_test(triple_input, tol)
-            entry = verdict.to_json()
-            entry["status"] = "run"
-            entry["triple"] = list(triangle)
-            verdicts.append(entry)
-            summary["suppes-zanotti"] = verdict.outcome.value
-            feas = triple_jpd_feasible(triple_input)
-            oracle.append(
-                {
-                    "system": "triple",
-                    "variables": list(triangle),
-                    "status": feas.status,
-                    "slack": feas.slack,
-                    "agrees_with_sz": feas.feasible
-                    == (verdict.outcome is Outcome.REJECTED_NONCONTEXTUAL),
-                }
-            )
-        except ZeroMeanViolated as exc:
-            verdicts.append(
-                {"test": "suppes-zanotti", "status": "skipped", "reason": str(exc)}
-            )
-            summary["suppes-zanotti"] = "skipped"
+            run = run_inequality_test(dataset, which, config, counted=counted)
+        except (MissingSettings, ZeroMeanViolated, CorrelationConstraintUnmet) as exc:
+            verdicts.append({"test": which, "status": "skipped", "reason": str(exc)})
+            if not isinstance(exc, MissingSettings):
+                summary[which] = "skipped"
+            continue
+        verdicts.append(run.to_json())
+        summary[which] = run.verdict.outcome.value
+        cross_check = _oracle_cross_check(which, run)
+        if cross_check is not None:
+            oracle.append(cross_check)
 
     randomness = {}
     rand_summary = {}
@@ -279,29 +317,25 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
     )
 
 
-def _run_original_bell(verdicts, summary, corr, a_block, b_block, config) -> None:
-    # The constraint pair is the cross pair closest to precise
-    # (anti)correlation; roles are then fixed so that pair plays (A2, B1).
-    cross = [(x, y) for x in a_block for y in b_block]
-    (a2, b1) = max(cross, key=lambda p: (abs(corr.value(*p)), p))
-    a1 = a_block[0] if a_block[1] == a2 else a_block[1]
-    b2 = b_block[0] if b_block[1] == b1 else b_block[1]
-    try:
-        tol = resolve_tolerance(
-            config.tolerance_policy,
-            lambda k: original_bell_ksigma(corr, a1, a2, b1, b2, k),
-        )
-        verdict = original_bell_test(
-            corr, a1=a1, a2=a2, b1=b1, b2=b2, delta=config.delta, tolerance=tol
-        )
-        entry = verdict.to_json()
-        entry["status"] = "run"
-        entry["roles"] = {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
-        verdicts.append(entry)
-        summary["bell-original"] = verdict.outcome.value
-    except CorrelationConstraintUnmet as exc:
-        verdicts.append({"test": "bell-original", "status": "skipped", "reason": str(exc)})
-        summary["bell-original"] = "skipped"
+def _oracle_cross_check(which: str, run: InequalityRun) -> dict | None:
+    """The LP oracle on the tables behind a CHSH or Suppes-Zanotti verdict."""
+    if which == "chsh":
+        system, agrees = "quadrupole", "agrees_with_chsh"
+        feas = jpd_feasible(quadrupole_system_from_chsh(run.test_input))
+        variables = run.test_input.a_block + run.test_input.b_block
+    elif which == "suppes-zanotti":
+        system, agrees = "triple", "agrees_with_sz"
+        feas = triple_jpd_feasible(run.test_input)
+        variables = run.test_input.triple
+    else:
+        return None
+    return {
+        "system": system,
+        "variables": list(variables),
+        "status": feas.status,
+        "slack": feas.slack,
+        agrees: feas.feasible == (run.verdict.outcome is Outcome.REJECTED_NONCONTEXTUAL),
+    }
 
 
 def _profile_checkpoints(n: int) -> list[int]:

@@ -4,6 +4,9 @@ import math
 import pytest
 
 from contexcert.cli import _parse_selections, main
+from contexcert.dataio import write_dataset_csv, write_scenario_json
+from contexcert.quantumgen import sample_lhv_dataset, sphere_lhv_model
+from contexcert.scenario import Dataset, Observable, OutcomeRecord, Scenario
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +32,31 @@ def generate_singlet(tmp_path, capsys, n=5000, seed=5):
     )
     assert code == 0, err
     return csv, tmp_path / "d.scenario.json"
+
+
+TRIANGLE_PAIRS = (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))
+
+
+def triangle_scenario():
+    return Scenario(
+        observables=tuple(Observable(x) for x in ("X1", "X2", "X3")),
+        compatible_sets=tuple(frozenset(p) for p in TRIANGLE_PAIRS),
+    )
+
+
+def lhv_triangle():
+    axes = {"X1": (0, 0, 1.0), "X2": (1.0, 0, 0), "X3": (0, 1.0, 0)}
+    return sample_lhv_dataset(
+        sphere_lhv_model(axes), [(p, 20_000) for p in TRIANGLE_PAIRS], seed=3
+    )
+
+
+def write_triangle(tmp_path, dataset):
+    csv = tmp_path / "tri.csv"
+    scen = tmp_path / "tri.scenario.json"
+    write_dataset_csv(dataset, csv)
+    write_scenario_json(dataset.scenario, scen)
+    return csv, scen
 
 
 class TestGenerate:
@@ -128,6 +156,76 @@ class TestTest:
         assert code == 1
         assert "crucial condition" in err
 
+    def test_sz_on_triangle(self, tmp_path, capsys):
+        csv, scen = write_triangle(tmp_path, lhv_triangle())
+        code, out, err = run_cli(
+            capsys, "test", "sz", "--data", str(csv), "--scenario", str(scen)
+        )
+        assert code == 0, err
+        verdict = json.loads(out)
+        assert verdict["test"] == "suppes-zanotti"
+        assert verdict["outcome"] == "rejected_noncontextual"
+
+    def test_sz_zero_mean_violation_is_operational_error(self, tmp_path, capsys):
+        recs = []
+        for pair in TRIANGLE_PAIRS:
+            recs += [OutcomeRecord(pair, (1, 1))] * 90 + [OutcomeRecord(pair, (-1, -1))] * 10
+        csv, scen = write_triangle(tmp_path, Dataset(triangle_scenario(), recs))
+        code, out, err = run_cli(
+            capsys, "test", "sz", "--data", str(csv), "--scenario", str(scen)
+        )
+        assert code == 1
+        assert out == ""
+        assert "zero-mean tolerance" in err
+
+    def test_bell_original_constraint_pair_either_order(self, tmp_path, capsys):
+        csv, scen = generate_singlet(tmp_path, capsys, n=2000)
+        outputs = []
+        for pair in ("A2+B1", "B1+A2"):
+            code, out, err = run_cli(
+                capsys, "test", "bell-original", "--data", str(csv), "--scenario",
+                str(scen), "--delta", "0.8", "--constraint-pair", pair,
+            )
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["details"]["constraint_pair"] == ["A2", "B1"]
+
+    def test_bell_original_constraint_pair_outside_blocks(self, tmp_path, capsys):
+        csv, scen = generate_singlet(tmp_path, capsys, n=2000)
+        for pair in ("X9+B1", "A1+A2"):
+            code, out, err = run_cli(
+                capsys, "test", "bell-original", "--data", str(csv), "--scenario",
+                str(scen), "--delta", "0.8", "--constraint-pair", pair,
+            )
+            assert code == 1
+            assert out == ""
+            assert "does not name one observable from each detected block" in err
+
+    @pytest.mark.parametrize(
+        "which, test_name, extra",
+        [
+            ("chsh", "chsh", ()),
+            ("bell-original", "bell-original", ("--delta", "0.8")),
+            ("sz", "suppes-zanotti", ()),
+        ],
+    )
+    def test_matches_full_suite_entry(self, tmp_path, capsys, which, test_name, extra):
+        if which == "sz":
+            csv, scen = write_triangle(tmp_path, lhv_triangle())
+        else:
+            csv, scen = generate_singlet(tmp_path, capsys, n=2000)
+        data = ("--data", str(csv), "--scenario", str(scen))
+        code, out, err = run_cli(capsys, "test", which, *data, *extra)
+        assert code == 0, err
+        code, report, err = run_cli(capsys, "full-suite", *data, "--seed", "1", *extra)
+        assert code == 0, err
+        [entry] = [t for t in json.loads(report)["tests"] if t["test"] == test_name]
+        assert entry["status"] == "run"
+        for key in ("status", "blocks", "triple", "roles"):
+            entry.pop(key, None)
+        assert json.loads(out) == entry
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -221,6 +319,18 @@ class TestOracle:
         assert code == 1
         assert out == ""
         assert "sum to exactly 1" in err
+
+
+    def test_exact_signaling_below_float_tolerance(self, tmp_path, capsys):
+        constraints = [
+            {"support": ["A", "B"], "probs": {"1,1": 0.5, "-1,-1": 0.5}},
+            {"support": ["A", "C"], "probs": {"1,1": 0.5000000001, "-1,-1": 0.4999999999}},
+        ]
+        path = self.write_system(tmp_path, ["A", "B", "C"], constraints)
+        code, out, err = run_cli(capsys, "oracle", "--constraints", path, "--exact")
+        assert code == 1
+        assert out == ""
+        assert "signaling" in err
 
 
 class TestRandomness:

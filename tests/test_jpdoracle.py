@@ -164,6 +164,20 @@ class TestJpdFeasible:
         with pytest.raises(InconsistentConstraints):
             jpd_feasible(system)
 
+    def test_exact_signaling_precheck_compares_exactly(self):
+        # the A marginals differ by 1/10**10, below the float precheck's 1e-9
+        eps = Fraction(1, 10**10)
+        half = Fraction(1, 2)
+        t1 = ProbTable(("A", "B"), {(1, 1): half, (-1, -1): half}, ((1, -1), (1, -1)))
+        t2 = ProbTable(("A", "C"), {(1, 1): half + eps, (-1, -1): half - eps}, ((1, -1), (1, -1)))
+        system = MarginalConstraintSystem(
+            ("A", "B", "C"), ((("A", "B"), t1), (("A", "C"), t2))
+        )
+        with pytest.raises(InconsistentConstraints, match="marginal of A"):
+            jpd_feasible(system, exact=True)
+        # float mode keeps its tolerances: the residual 1e-10 counts as feasible
+        assert jpd_feasible(system).feasible
+
     def test_too_many_variables(self):
         ids = tuple(f"V{i}" for i in range(13))
         table = pair_table_from_correlation((ids[0], ids[1]), 0.0)

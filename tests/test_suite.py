@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
+from contexcert import suite
 from contexcert.dataio import dumps_json
+from contexcert.errors import ContexcertError
 from contexcert.quantumgen import (
     planar_observable,
     sample_lhv_dataset,
@@ -11,7 +14,13 @@ from contexcert.quantumgen import (
     sphere_lhv_model,
 )
 from contexcert.scenario import Dataset, Observable, OutcomeRecord, Scenario
-from contexcert.suite import RunConfig, find_quadrupole, find_triangle, run_full_suite
+from contexcert.suite import (
+    RunConfig,
+    find_quadrupole,
+    find_triangle,
+    run_full_suite,
+    run_inequality_test,
+)
 
 
 def tsirelson_dataset(n=20_000, seed=5):
@@ -115,3 +124,23 @@ class TestFullSuite:
         assert data["provenance"]["config"]["seed"] == 1
         assert data["provenance"]["config"]["tolerance_policy"] == "k-sigma:3"
         assert data["provenance"]["dataset_meta"]["seed"] == 1
+
+
+class TestInequalityRunner:
+    def test_quadrupole_counted_once_per_suite(self, monkeypatch):
+        counted = []
+        original = suite.correlation_set
+
+        def counting(dataset, pairs):
+            counted.append(tuple(pairs))
+            return original(dataset, pairs)
+
+        monkeypatch.setattr(suite, "correlation_set", counting)
+        data = run_full_suite(tsirelson_dataset(n=1000), RunConfig(seed=1)).to_json()
+        # bell-original reads the correlations before its constraint check skips it
+        assert {t["test"]: t["status"] for t in data["tests"]}["bell-original"] == "skipped"
+        assert counted == [tuple((x, y) for x in ("A1", "A2") for y in ("B1", "B2"))]
+
+    def test_unknown_test_name(self):
+        with pytest.raises(ContexcertError, match="unknown inequality test"):
+            run_inequality_test(tsirelson_dataset(n=100), "sz", RunConfig())
