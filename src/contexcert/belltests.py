@@ -203,6 +203,16 @@ class TripleInput:
     def pair_values(self) -> tuple[float, float, float]:
         return tuple(self.correlations.value(a, b) for a, b in self.pairs)
 
+    def require_zero_mean(self) -> float:
+        """The largest |mean| over the triple; raises ZeroMeanViolated above the tolerance."""
+        worst = self.correlations.max_abs_mean(self.triple)
+        if worst > self.zero_mean_tolerance:
+            raise ZeroMeanViolated(
+                f"|mean| = {worst:g} exceeds zero-mean tolerance "
+                f"{self.zero_mean_tolerance:g}; the triple condition does not apply"
+            )
+        return worst
+
 
 def sz_bounds(c12: float, c23: float, c13: float) -> tuple[float, float]:
     """Allowed band for the correlation sum: [-1, 1 + 2*min(correlations)]."""
@@ -213,12 +223,7 @@ def sz_test(triple: TripleInput, tolerance: float = 0.0) -> TestVerdict:
     """Two-sided test of the zero-mean triple-JPD existence condition."""
     if tolerance < 0:
         raise ContexcertError("tolerance must be >= 0")
-    worst_mean = triple.correlations.max_abs_mean(triple.triple)
-    if worst_mean > triple.zero_mean_tolerance:
-        raise ZeroMeanViolated(
-            f"|mean| = {worst_mean:g} exceeds zero-mean tolerance "
-            f"{triple.zero_mean_tolerance:g}; the triple condition does not apply"
-        )
+    worst_mean = triple.require_zero_mean()
     values = triple.pair_values()
     statistic = math.fsum(values)
     lower, upper = sz_bounds(*values)

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import _simplex
-from .belltests import ChshInput, TripleInput, ZeroMeanViolated, chsh_max
+from .belltests import ChshInput, TripleInput, chsh_max
 from .errors import ContexcertError
 from .scenario import DICHOTOMIC, ProbTable
 
@@ -185,15 +185,16 @@ def _signaling_precheck(system: MarginalConstraintSystem, tol: float, exact: boo
 def jpd_feasible(
     system: MarginalConstraintSystem,
     feasibility_tol: float = FEASIBILITY_TOL,
-    signaling_tol: float = SIGNALING_PRECHECK_TOL,
     exact: bool = False,
 ) -> FeasibilityResult:
     """Decide global-JPD existence for the constraint system.
 
     ``feasibility_tol`` bounds the phase-1 objective (total residual mass)
-    below which the system counts as feasible.  In ``exact`` mode every
-    constraint table must carry Fraction/int probabilities summing to exactly
-    1, and the decision, signaling precheck included, is tolerance-free.
+    below which the system counts as feasible; the signaling precheck
+    allows ``SIGNALING_PRECHECK_TOL``.  In ``exact`` mode every constraint
+    table must carry Fraction/int probabilities summing to exactly 1, and
+    the decision, signaling precheck included, is tolerance-free: witness
+    and certificate entries are Fractions, where float mode gives floats.
     """
     n = len(system.variables)
     if n > MAX_VARIABLES:
@@ -202,47 +203,50 @@ def jpd_feasible(
         raise ContexcertError("constraint system is empty")
     if exact:
         _check_exact_tables(system)
-    _signaling_precheck(system, 0 if exact else signaling_tol, exact)
+    _signaling_precheck(system, 0 if exact else SIGNALING_PRECHECK_TOL, exact)
 
     var_index = {v: i for i, v in enumerate(system.variables)}
     supports = tuple(
         tuple(var_index[obs] for obs in sup) for sup, _ in system.constraints
     )
     A, row_cells = _lp_pattern(n, supports)
+    number = Fraction if exact else float
+    b = [number(1)]
+    for ci, cell in row_cells[1:]:
+        b.append(number(system.constraints[ci][1].prob(cell)))
 
     if exact:
-        return _solve_exact(system, A, row_cells)
-    b = np.empty(A.shape[0])
-    b[0] = 1.0
-    for r, rc in enumerate(row_cells):
-        if rc is None:
-            continue
-        ci, cell = rc
-        b[r] = float(system.constraints[ci][1].prob(cell))
-    objective, x, y = _simplex.phase1_dense(np.asarray(A), b)
+        A_int = np.asarray(A, dtype=np.int64).tolist()
+        objective, x, y = _simplex.phase1_exact(A_int, b)
+        feasible = objective == 0
+    else:
+        b = np.array(b)
+        objective, x, y = _simplex.phase1_dense(A, b)
+        feasible = objective <= feasibility_tol
+        x = x.tolist()
 
-    if objective <= feasibility_tol:
-        probs = {
-            _atom_outcomes(n, j): float(x[j])
-            for j in range(1 << n)
-            if x[j] > 0.0
-        }
-        witness = ProbTable(
-            support=system.variables,
-            probs=probs,
-            alphabets=(DICHOTOMIC,) * n,
-        )
+    if feasible:
+        probs = {_atom_outcomes(n, j): x[j] for j in range(1 << n) if x[j] > 0}
+        witness = ProbTable(system.variables, probs, (DICHOTOMIC,) * n)
         return FeasibilityResult("feasible", witness, None, slack=0.0)
 
-    functional = y @ np.asarray(A)
-    bound = float(functional.max())
-    value = float(y @ b)
+    if exact:
+        # The functional's maximum over atoms, on integer numerators of y.
+        denominator = lcm(*(yr.denominator for yr in y))
+        numerators = [yr.numerator * (denominator // yr.denominator) for yr in y]
+        bound = Fraction(
+            max(sum(yr * a for yr, a in zip(numerators, col)) for col in zip(*A_int)),
+            denominator,
+        )
+        value = sum(yi * bi for yi, bi in zip(y, b))
+    else:
+        bound = float((y @ A).max())
+        value = float(y @ b)
+        y = y.tolist()
     certificate = InfeasibilityCertificate(
-        normalization_coeff=float(y[0]),
+        normalization_coeff=y[0],
         cell_coeffs=tuple(
-            (rc[0], rc[1], float(y[r]))
-            for r, rc in enumerate(row_cells)
-            if rc is not None
+            (rc[0], rc[1], y[r]) for r, rc in enumerate(row_cells) if rc is not None
         ),
         value=value,
         bound=bound,
@@ -262,45 +266,6 @@ def _check_exact_tables(system: MarginalConstraintSystem) -> None:
                 f"exact mode requires each table to sum to exactly 1; "
                 f"constraint {ci} over {','.join(sup)} sums to {total}"
             )
-
-
-def _solve_exact(system, A, row_cells) -> FeasibilityResult:
-    n = len(system.variables)
-    A_int = np.asarray(A, dtype=np.int64).tolist()
-    b = [Fraction(1)]
-    for rc in row_cells[1:]:
-        ci, cell = rc
-        b.append(Fraction(system.constraints[ci][1].prob(cell)))
-    objective, x, y = _simplex.phase1_exact(A_int, b)
-
-    if objective == 0:
-        probs = {
-            _atom_outcomes(n, j): x[j] for j in range(1 << n) if x[j] != 0
-        }
-        witness = ProbTable(
-            support=system.variables,
-            probs=probs,
-            alphabets=(DICHOTOMIC,) * n,
-        )
-        return FeasibilityResult("feasible", witness, None, slack=0.0)
-
-    # The functional's maximum over atoms, on integer numerators of y.
-    denominator = lcm(*(yr.denominator for yr in y))
-    numerators = [yr.numerator * (denominator // yr.denominator) for yr in y]
-    bound = Fraction(
-        max(sum(yr * a for yr, a in zip(numerators, col)) for col in zip(*A_int)),
-        denominator,
-    )
-    value = sum(yi * bi for yi, bi in zip(y, b))
-    certificate = InfeasibilityCertificate(
-        normalization_coeff=y[0],
-        cell_coeffs=tuple(
-            (rc[0], rc[1], y[r]) for r, rc in enumerate(row_cells) if rc is not None
-        ),
-        value=value,
-        bound=bound,
-    )
-    return FeasibilityResult("infeasible", None, certificate, slack=certificate.slack)
 
 
 def pair_table_from_correlation(
@@ -323,32 +288,33 @@ def pair_table_from_correlation(
     return ProbTable(support=tuple(ids), probs=probs, alphabets=(DICHOTOMIC, DICHOTOMIC))
 
 
+def zero_mean_system(
+    variables: tuple[str, ...], pairs, correlations, exact: bool = False
+) -> MarginalConstraintSystem:
+    """Zero-mean pair tables with the given correlations, one per pair, in order."""
+    return MarginalConstraintSystem(
+        variables=variables,
+        constraints=tuple(
+            (pair, pair_table_from_correlation(pair, corr, exact))
+            for pair, corr in zip(pairs, correlations)
+        ),
+    )
+
+
 def triple_system_from_correlations(
     c12, c23, c13, ids: tuple[str, str, str] = ("X1", "X2", "X3"), exact: bool = False
 ) -> MarginalConstraintSystem:
     x1, x2, x3 = ids
-    return MarginalConstraintSystem(
-        variables=ids,
-        constraints=(
-            ((x1, x2), pair_table_from_correlation((x1, x2), c12, exact)),
-            ((x2, x3), pair_table_from_correlation((x2, x3), c23, exact)),
-            ((x1, x3), pair_table_from_correlation((x1, x3), c13, exact)),
-        ),
-    )
+    return zero_mean_system(ids, ((x1, x2), (x2, x3), (x1, x3)), (c12, c23, c13), exact)
 
 
 def quadrupole_system_from_chsh(
     chsh: ChshInput, exact: bool = False
 ) -> MarginalConstraintSystem:
     """Zero-mean pair tables induced from the four CHSH correlations."""
-    a1, a2 = chsh.a_block
-    b1, b2 = chsh.b_block
-    variables = (a1, a2, b1, b2)
-    constraints = []
-    for pair in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)):
-        corr = chsh.correlations.value(*pair)
-        constraints.append((pair, pair_table_from_correlation(pair, corr, exact)))
-    return MarginalConstraintSystem(variables=variables, constraints=tuple(constraints))
+    return zero_mean_system(
+        chsh.a_block + chsh.b_block, chsh.term_pairs, chsh.term_values(), exact
+    )
 
 
 def triple_jpd_feasible(
@@ -357,20 +323,8 @@ def triple_jpd_feasible(
     exact: bool = False,
 ) -> FeasibilityResult:
     """JPD existence for a zero-mean correlation triple via the induced tables."""
-    worst = triple.correlations.max_abs_mean(triple.triple)
-    if worst > triple.zero_mean_tolerance:
-        raise ZeroMeanViolated(
-            f"|mean| = {worst:g} exceeds the declared zero-mean tolerance "
-            f"{triple.zero_mean_tolerance:g}"
-        )
-    x1, x2, x3 = triple.triple
-    system = triple_system_from_correlations(
-        triple.correlations.value(x1, x2),
-        triple.correlations.value(x2, x3),
-        triple.correlations.value(x1, x3),
-        ids=triple.triple,
-        exact=exact,
-    )
+    triple.require_zero_mean()
+    system = zero_mean_system(triple.triple, triple.pairs, triple.pair_values(), exact)
     return jpd_feasible(system, feasibility_tol=feasibility_tol, exact=exact)
 
 

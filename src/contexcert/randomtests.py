@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
-from .tolerances import FixedTolerance, StatisticalTolerance, TolerancePolicy, binomial_sigma
+from .tolerances import StatisticalTolerance, TolerancePolicy, binomial_sigma, resolve_tolerance
 
 
 class UnknownLabel(ContexcertError):
@@ -298,16 +298,14 @@ def randomness_test(
             label: abs(sel_freqs[label] - overall[label]) for label in seq.labels
         }
         max_dev = max(deviations.values())
-        if isinstance(policy, FixedTolerance):
-            tol = policy.epsilon
-            deviant = max_dev > tol
-        else:
-            tols = {
-                label: policy.k * binomial_sigma(overall[label], retained)
-                for label in seq.labels
-            }
-            deviant = any(deviations[l] > tols[l] for l in seq.labels)
-            tol = min(tols.values())
+        tols = {
+            label: resolve_tolerance(
+                policy, lambda k: k * binomial_sigma(overall[label], retained)
+            )
+            for label in seq.labels
+        }
+        deviant = any(deviations[l] > tols[l] for l in seq.labels)
+        tol = min(tols.values())
         if deviant:
             failed = True
         results.append(

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import ContexcertError
 from .scenario import Dataset, ProbTable, estimate_table, marginalize
-from .tolerances import FixedTolerance, StatisticalTolerance, TolerancePolicy, binomial_sigma
+from .tolerances import StatisticalTolerance, TolerancePolicy, binomial_sigma, resolve_tolerance
 
 
 class ObservableNotFound(ContexcertError):
@@ -141,18 +141,17 @@ def no_signaling_test(
             tv = total_variation(m1, m2)
             n1 = t1.sample_size or 0
             n2 = t2.sample_size or 0
-            if isinstance(policy, FixedTolerance):
-                tol = policy.epsilon
-            else:
-                n_min = min(n1, n2)
-                tol = min(
-                    policy.k
+            tol = resolve_tolerance(
+                policy,
+                lambda k: min(
+                    k
                     * binomial_sigma(
                         (n1 * float(m1.prob((v,))) + n2 * float(m2.prob((v,)))) / (n1 + n2),
-                        n_min,
+                        min(n1, n2),
                     )
                     for v in alphabet
-                )
+                ),
+            )
             worst = max(worst, dev)
             comparisons.append((obs, s1, s2, dev, tv, tol))
             context_pairs.append((s1, s2))

@@ -157,8 +157,9 @@ def run_inequality_test(
     ``which`` is one of :data:`INEQUALITY_TESTS`.  The original Bell test's
     constraint pair is ``constraint_pair`` ("A2+B1", either order, one
     observable from each detected block), or else the cross pair with the
-    largest |correlation|.  ``counted`` memoizes correlation sets across
-    calls on the same dataset, so the quadrupole's tables are counted once.
+    largest |correlation|; the other tests refuse a ``constraint_pair``.
+    ``counted`` memoizes correlation sets across calls on the same dataset,
+    so the quadrupole's tables are counted once.
 
     Raises :class:`MissingSettings` when the dataset lacks the structure,
     and :class:`ZeroMeanViolated` or :class:`CorrelationConstraintUnmet`
@@ -166,6 +167,10 @@ def run_inequality_test(
     """
     if which not in INEQUALITY_TESTS:
         raise ContexcertError(f"unknown inequality test {which!r}")
+    if constraint_pair is not None and which != "bell-original":
+        raise ContexcertError(
+            f"--constraint-pair applies only to bell-original; {which} does not read it"
+        )
     counted = {} if counted is None else counted
 
     def correlations(pairs: list) -> CorrelationSet:

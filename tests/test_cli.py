@@ -202,6 +202,19 @@ class TestTest:
             assert out == ""
             assert "does not name one observable from each detected block" in err
 
+    def test_constraint_pair_refused_outside_bell_original(self, tmp_path, capsys):
+        quad = generate_singlet(tmp_path, capsys, n=2000)
+        triangle = write_triangle(tmp_path, lhv_triangle())
+        for which, (csv, scen) in (("chsh", quad), ("sz", triangle)):
+            for pair in ("X9+Q7", "A2+B1"):
+                code, out, err = run_cli(
+                    capsys, "test", which, "--data", str(csv), "--scenario",
+                    str(scen), "--constraint-pair", pair,
+                )
+                assert code == 1
+                assert out == ""
+                assert "applies only to bell-original" in err
+
     @pytest.mark.parametrize(
         "which, test_name, extra",
         [

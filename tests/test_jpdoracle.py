@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from contexcert.belltests import ChshInput, TripleInput, ZeroMeanViolated, chsh_max
+from contexcert.belltests import ChshInput, TripleInput, ZeroMeanViolated, chsh_max, sz_test
 from contexcert.errors import ContexcertError
 from contexcert.jpdoracle import (
     InconsistentConstraints,
@@ -222,6 +222,22 @@ class TestTripleJpd:
         with pytest.raises(ZeroMeanViolated):
             triple_jpd_feasible(bad)
 
+    def test_zero_mean_gate_shared_with_sz_test(self):
+        biased = TripleInput(
+            CorrelationSet(
+                entries={frozenset(p): 0.1 for p in (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))},
+                means={"X1": 0.0, "X2": -0.3, "X3": 0.0},
+            ),
+            ("X1", "X2", "X3"),
+            zero_mean_tolerance=0.05,
+        )
+        with pytest.raises(ZeroMeanViolated) as from_sz:
+            sz_test(biased)
+        with pytest.raises(ZeroMeanViolated) as from_oracle:
+            triple_jpd_feasible(biased)
+        assert str(from_oracle.value) == str(from_sz.value)
+        assert "the triple condition does not apply" in str(from_oracle.value)
+
     def test_matches_bruteforce_on_random_triples(self):
         rng = np.random.default_rng(19)
         for _ in range(60):
@@ -396,3 +412,30 @@ class TestCycleResultsIndependently:
             else:
                 value, bound = certificate_over_atoms(system, res.certificate)
                 assert value > bound, corr
+
+
+class TestNumberTypes:
+    """Witness and certificate entries are Fractions in exact mode and
+    Python floats (never numpy scalars) in float mode."""
+
+    @pytest.mark.parametrize("exact, number", [(True, Fraction), (False, float)])
+    @pytest.mark.parametrize(
+        "corr, feasible",
+        [
+            ((0, 0, 0), True),
+            ((-1, -1, -1), False),
+            ((Fraction(1, 2), 0, Fraction(-1, 2), Fraction(1, 10)), True),
+            ((1, 1, 1, -1), False),
+        ],
+    )
+    def test_entries_follow_mode(self, exact, number, corr, feasible):
+        res = jpd_feasible(cycle_system(corr, exact), exact=exact)
+        assert res.feasible == feasible
+        if feasible:
+            entries = list(res.witness.probs.values())
+        else:
+            cert = res.certificate
+            entries = [cert.normalization_coeff, cert.value, cert.bound]
+            entries += [c for _, _, c in cert.cell_coeffs]
+        assert entries
+        assert all(type(v) is number for v in entries), [type(v) for v in entries]
