@@ -41,7 +41,7 @@ from .quantumgen import (
     sphere_lhv_model,
 )
 from .randomtests import PlaceSelection, randomness_test
-from .suite import RunConfig, run_full_suite, run_inequality_test
+from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_test
 from .tolerances import parse_policy
 
 SEED_ENV = "CONTEXCERT_SEED"
@@ -58,25 +58,13 @@ def _resolve_seed(value: int | None) -> int:
     return int(env)
 
 
-def _emit(payload: dict, args) -> None:
-    if getattr(args, "format", "json") == "text":
-        text = _render_text(payload)
-    else:
-        text = dumps_json(payload)
-    out = getattr(args, "out", None)
+def _emit(payload: dict, args, out: str | None) -> None:
+    """The payload in ``--format`` to the file ``out``, or to stdout when None."""
+    text = _render_text(payload) if args.format == "text" else dumps_json(payload)
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _print_summary(payload: dict, args) -> None:
-    # generate commands use --out for the dataset itself; their run summary
-    # always goes to stdout
-    if getattr(args, "format", "json") == "text":
-        sys.stdout.write(_render_text(payload))
-    else:
-        sys.stdout.write(dumps_json(payload))
 
 
 def _render_text(payload: dict, indent: int = 0) -> str:
@@ -94,10 +82,12 @@ def _render_text(payload: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line) + ("\n" if indent == 0 else "")
 
 
-def _scenario_out_path(args) -> Path:
-    if args.scenario_out:
-        return Path(args.scenario_out)
-    return Path(args.out).with_suffix(".scenario.json")
+def _write_generated(dataset, seed: int, args) -> None:
+    """Dataset CSV to --out and its scenario beside it; generate commands use
+    --out for the dataset itself, so their run summary always goes to stdout."""
+    write_dataset_csv(dataset, args.out)
+    write_scenario_json(dataset.scenario, args.scenario_out or Path(args.out).with_suffix(".scenario.json"))
+    _emit({"written": str(args.out), "records": len(dataset), "seed": seed}, args, None)
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
@@ -124,9 +114,7 @@ def cmd_generate_singlet(args) -> None:
     ]
     dataset = sample_quantum_dataset(state, settings, seed)
     dataset.meta["angles"] = {"A1": a1, "A2": a2, "B1": b1, "B2": b2}
-    write_dataset_csv(dataset, args.out)
-    write_scenario_json(dataset.scenario, _scenario_out_path(args))
-    _print_summary({"written": str(args.out), "records": len(dataset), "seed": seed}, args)
+    _write_generated(dataset, seed, args)
 
 
 def _parse_axes(text: str) -> dict[str, tuple[float, float, float]]:
@@ -151,22 +139,15 @@ def cmd_generate_lhv(args) -> None:
     model = sphere_lhv_model(axes)
     pairs = [(ids[0], ids[2]), (ids[0], ids[3]), (ids[1], ids[2]), (ids[1], ids[3])]
     dataset = sample_lhv_dataset(model, [(p, args.n) for p in pairs], seed)
-    write_dataset_csv(dataset, args.out)
-    write_scenario_json(dataset.scenario, _scenario_out_path(args))
-    _print_summary({"written": str(args.out), "records": len(dataset), "seed": seed}, args)
+    _write_generated(dataset, seed, args)
 
 
 def _complex_matrix(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        entries = []
-        for cell in row:
-            if isinstance(cell, (list, tuple)):
-                entries.append(complex(cell[0], cell[1]))
-            else:
-                entries.append(complex(cell))
-        rows.append(entries)
-    return np.asarray(rows, dtype=complex)
+    """Entries are [re, im] pairs or plain numbers."""
+    return np.asarray(
+        [[complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in row] for row in data],
+        dtype=complex,
+    )
 
 
 def _load_observable(entry: dict, dim: int) -> ProjectiveObservable:
@@ -197,9 +178,7 @@ def cmd_generate_state_file(args) -> None:
         x, _, y = pair.partition("+")
         settings.append(((observables[x.strip()], observables[y.strip()]), int(count)))
     dataset = sample_quantum_dataset(state, settings, seed)
-    write_dataset_csv(dataset, args.out)
-    write_scenario_json(dataset.scenario, _scenario_out_path(args))
-    _print_summary({"written": str(args.out), "records": len(dataset), "seed": seed}, args)
+    _write_generated(dataset, seed, args)
 
 
 def cmd_test(args) -> None:
@@ -211,13 +190,13 @@ def cmd_test(args) -> None:
     )
     which = "suppes-zanotti" if args.which == "sz" else args.which
     run = run_inequality_test(dataset, which, config, args.constraint_pair)
-    _emit(run.verdict.to_json(), args)
+    _emit(run.verdict.to_json(), args, args.out)
 
 
 def cmd_oracle(args) -> None:
     system = read_constraint_system(args.constraints, exact=args.exact)
     result = jpd_feasible(system, feasibility_tol=args.tolerance, exact=args.exact)
-    _emit(result.to_json(), args)
+    _emit(result.to_json(), args, args.out)
 
 
 def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
@@ -249,8 +228,6 @@ def cmd_randomness(args) -> None:
     if args.stream:
         seq = read_label_stream(args.stream)
     elif args.data and args.scenario and args.setting and args.observable:
-        from .suite import extract_streams
-
         dataset = ingest(args.data, args.scenario)
         canonical = dataset.scenario.canonical_setting(args.setting.split("+"))
         key = f"{args.observable}@{'+'.join(canonical)}"
@@ -265,7 +242,7 @@ def cmd_randomness(args) -> None:
     selections = _parse_selections(args.selections, seed)
     policy = parse_policy(args.policy)
     report = randomness_test(seq, selections, policy, args.min_retained)
-    _emit(report.to_json(), args)
+    _emit(report.to_json(), args, args.out)
 
 
 def cmd_full_suite(args) -> None:
@@ -280,7 +257,18 @@ def cmd_full_suite(args) -> None:
         min_retained=args.min_retained,
     )
     report = run_full_suite(dataset, config)
-    _emit(report.to_json(), args)
+    _emit(report.to_json(), args, args.out)
+
+
+def _add_tail(parser: argparse.ArgumentParser, seed: bool, generated: bool = False) -> None:
+    """The options every subcommand ends with, added last so that usage lines
+    and missing-argument errors keep their order."""
+    if seed:
+        parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", required=generated)
+    if generated:
+        parser.add_argument("--scenario-out")
+    parser.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,10 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_singlet = gen_sub.add_parser("singlet", help="two-qubit singlet sampler")
     g_singlet.add_argument("--angles", required=True, help="a1,a2,b1,b2 in radians")
     g_singlet.add_argument("--n", type=int, required=True, help="records per pair")
-    g_singlet.add_argument("--seed", type=int)
-    g_singlet.add_argument("--out", required=True)
-    g_singlet.add_argument("--scenario-out")
-    g_singlet.add_argument("--format", choices=("json", "text"), default="json")
+    _add_tail(g_singlet, seed=True, generated=True)
     g_singlet.set_defaults(func=cmd_generate_singlet)
 
     g_lhv = gen_sub.add_parser("lhv", help="local hidden-variable sampler")
@@ -311,20 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="ID:planar-angle list; first two ids form the A side",
     )
     g_lhv.add_argument("--n", type=int, required=True)
-    g_lhv.add_argument("--seed", type=int)
-    g_lhv.add_argument("--out", required=True)
-    g_lhv.add_argument("--scenario-out")
-    g_lhv.add_argument("--format", choices=("json", "text"), default="json")
+    _add_tail(g_lhv, seed=True, generated=True)
     g_lhv.set_defaults(func=cmd_generate_lhv)
 
     g_state = gen_sub.add_parser("state-file", help="sample from a state JSON file")
     g_state.add_argument("--state", required=True)
     g_state.add_argument("--observables", required=True)
     g_state.add_argument("--pairs", required=True, help="A+B:count,...")
-    g_state.add_argument("--seed", type=int)
-    g_state.add_argument("--out", required=True)
-    g_state.add_argument("--scenario-out")
-    g_state.add_argument("--format", choices=("json", "text"), default="json")
+    _add_tail(g_state, seed=True, generated=True)
     g_state.set_defaults(func=cmd_generate_state_file)
 
     test = sub.add_parser("test", help="run one inequality test")
@@ -335,16 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--delta", type=float, default=0.01)
     test.add_argument("--zero-mean-tolerance", type=float, default=0.05)
     test.add_argument("--constraint-pair", help="e.g. A2+B1 (bell-original only)")
-    test.add_argument("--out")
-    test.add_argument("--format", choices=("json", "text"), default="json")
+    _add_tail(test, seed=False)
     test.set_defaults(func=cmd_test)
 
     oracle = sub.add_parser("oracle", help="joint-distribution feasibility")
     oracle.add_argument("--constraints", required=True)
     oracle.add_argument("--tolerance", type=float, default=1e-9)
     oracle.add_argument("--exact", action="store_true")
-    oracle.add_argument("--out")
-    oracle.add_argument("--format", choices=("json", "text"), default="json")
+    _add_tail(oracle, seed=False)
     oracle.set_defaults(func=cmd_oracle)
 
     rand = sub.add_parser("randomness", help="place-selection battery")
@@ -356,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--selections", default="prime,mod:2:0,coin")
     rand.add_argument("--policy", default="k-sigma:4")
     rand.add_argument("--min-retained", type=int, default=30)
-    rand.add_argument("--seed", type=int)
-    rand.add_argument("--out")
-    rand.add_argument("--format", choices=("json", "text"), default="json")
+    _add_tail(rand, seed=True)
     rand.set_defaults(func=cmd_randomness)
 
     full = sub.add_parser("full-suite", help="signaling + tests + oracle + randomness")
@@ -369,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     full.add_argument("--delta", type=float, default=0.01)
     full.add_argument("--zero-mean-tolerance", type=float, default=0.05)
     full.add_argument("--min-retained", type=int, default=30)
-    full.add_argument("--seed", type=int)
-    full.add_argument("--out")
-    full.add_argument("--format", choices=("json", "text"), default="json")
+    _add_tail(full, seed=True)
     full.set_defaults(func=cmd_full_suite)
 
     return parser

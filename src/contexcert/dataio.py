@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Any, Iterable
+
+import numpy as np
 
 from .errors import ContexcertError
 from .jpdoracle import MarginalConstraintSystem
@@ -23,6 +26,7 @@ from .scenario import (
     Observable,
     ProbTable,
     Scenario,
+    cell_index,
 )
 
 CSV_HEADER = "setting;outcomes"
@@ -79,11 +83,31 @@ def write_scenario_json(scenario: Scenario, path: str | Path) -> None:
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+    """One line per record, picked by :func:`cell_index` from the setting's
+    lines formatted once per outcome cell; text that would not read back raises."""
     lines = [CSV_HEADER]
-    for setting, rows in dataset.blocks():
-        prefix = "+".join(setting)
-        lines.extend(f"{prefix};{','.join(map(str, row))}" for row in rows.tolist())
+    texts: dict[tuple[str, ...], np.ndarray] = {}
+    for setting, codes in dataset.code_blocks:
+        alphabets = dataset.scenario.alphabets(setting)
+        if setting not in texts:
+            prefix = "+".join(_token(obs, "its id", obs, str.strip, "+;") for obs in setting)
+            tokens = [
+                [_token(obs, f"outcome {value!r}", value, _parse_value, ",;") for value in alphabet]
+                for obs, alphabet in zip(setting, alphabets)
+            ]
+            texts[setting] = np.asarray([f"{prefix};{','.join(c)}" for c in product(*tokens)], dtype=object)
+        cells = cell_index(codes, [len(a) for a in alphabets], range(len(setting)))
+        lines.extend(texts[setting][cells].tolist())
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _token(obs_id: str, what: str, value: Any, read: Any, separators: str) -> str:
+    """``str(value)``, refused if ``read`` (which strips edge whitespace and line
+    breaks) would not give back ``value``, or if it holds a separator or a line break."""
+    text = str(value)
+    if read(text) != value or any(sep in text for sep in separators) or len(text.splitlines()) > 1:
+        raise ContexcertError(f"observable {obs_id!r}: {what} would not read back from a dataset CSV")
+    return text
 
 
 def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
@@ -146,11 +170,7 @@ def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:
 
 def read_label_stream(path: str | Path, labels: Iterable | None = None) -> LabelSequence:
     """One symbol per line; integers are parsed, anything else stays a string."""
-    values = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        token = raw.strip()
-        if token:
-            values.append(_parse_value(token))
+    values = [_parse_value(line) for line in Path(path).read_text().splitlines() if line.strip()]
     if not values:
         raise ParseError("stream contains no symbols", line=1)
     return LabelSequence.from_values(values, tuple(labels) if labels is not None else None)

@@ -23,6 +23,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
+from .scenario import alphabet_codes
 from .tolerances import StatisticalTolerance, TolerancePolicy, binomial_sigma, resolve_tolerance
 
 
@@ -58,18 +59,16 @@ class LabelSequence:
             raise ContexcertError("labels must be nonempty and distinct")
         if not values:
             raise ContexcertError("sequence must contain at least one value")
-        known = set(labels)
-        for v in values:
-            if v not in known:
-                raise UnknownLabel(f"value {v!r} not among labels {labels}")
+        unknown = np.flatnonzero(self.codes < 0)
+        if len(unknown):
+            raise UnknownLabel(f"value {values[unknown[0]]!r} not among labels {labels}")
 
     def __len__(self) -> int:
         return len(self.values)
 
     @cached_property
     def codes(self) -> np.ndarray:
-        index = {label: i for i, label in enumerate(self.labels)}
-        return np.asarray([index[v] for v in self.values], dtype=np.int64)
+        return alphabet_codes(self.values, self.labels)
 
     @classmethod
     def from_values(cls, values: Iterable, labels: Sequence | None = None) -> "LabelSequence":
@@ -158,11 +157,10 @@ def selection_mask(seq: LabelSequence, sel: PlaceSelection) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(sel.seed)))
         return rng.random(n) < sel.bias
     if sel.kind == "after_pattern":
-        index = {label: i for i, label in enumerate(seq.labels)}
-        try:
-            pattern = np.asarray([index[v] for v in sel.pattern], dtype=np.int64)
-        except KeyError as exc:
-            raise UnknownLabel(f"pattern value {exc.args[0]!r} not in alphabet") from None
+        pattern = alphabet_codes(sel.pattern, seq.labels)
+        unknown = np.flatnonzero(pattern < 0)
+        if len(unknown):
+            raise UnknownLabel(f"pattern value {sel.pattern[unknown[0]]!r} not in alphabet")
         length = len(pattern)
         mask = np.zeros(n, dtype=bool)
         if n > length:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, product
+from itertools import groupby, product, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -104,13 +104,9 @@ class Scenario:
     def _index(self) -> dict[str, int]:
         return {o.id: i for i, o in enumerate(self.observables)}
 
-    @cached_property
-    def _by_id(self) -> dict[str, Observable]:
-        return {o.id: o for o in self.observables}
-
     def observable(self, obs_id: str) -> Observable:
         try:
-            return self._by_id[obs_id]
+            return self.observables[self._index[obs_id]]
         except KeyError:
             raise UnknownObservable(f"unknown observable {obs_id!r}") from None
 
@@ -152,10 +148,10 @@ class OutcomeRecord:
 class Dataset:
     """Ordered joint-outcome records over one scenario.
 
-    Records are stored in contiguous per-setting blocks, each an unsigned
-    integer matrix of alphabet indices (codes) whatever the alphabet's value
-    type, so that counting is one ``np.bincount`` per block.  :meth:`blocks`
-    decodes back to outcome values; iteration yields individual
+    Records are stored in contiguous per-setting blocks, ``code_blocks``,
+    each an unsigned integer matrix of alphabet indices (codes) whatever the
+    alphabet's value type, so that counting is one ``np.bincount`` per block.
+    :meth:`blocks` decodes back to outcome values; iteration yields individual
     :class:`OutcomeRecord` values in acquisition order.
     """
 
@@ -167,7 +163,7 @@ class Dataset:
     ) -> None:
         self.scenario = scenario
         self.meta: dict[str, Any] = dict(meta or {})
-        self._blocks: list[tuple[tuple[str, ...], np.ndarray]] = []
+        self.code_blocks: list[tuple[tuple[str, ...], np.ndarray]] = []
         for setting, group in groupby(records, key=lambda rec: rec.setting):
             self._append(setting, [rec.outcomes for rec in group])
 
@@ -194,29 +190,28 @@ class Dataset:
             raise ContexcertError(f"setting {setting} repeats an observable")
         if not self.scenario.is_compatible(setting):
             raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
-        values = np.asarray(rows, dtype=object)
+        # object dtype keeps mixed rows' types; other ndarrays give Python
+        # values through ``tolist``, a column at a time
+        values = np.asarray(rows, dtype=None if isinstance(rows, np.ndarray) else object)
         if len(values) == 0:
             return
         if values.ndim != 2 or values.shape[1] != len(setting):
             raise ContexcertError("outcome matrix shape does not match setting")
         alphabets = self.scenario.alphabets(setting)
-        width = np.min_scalar_type(max(len(a) for a in alphabets) - 1)
-        codes = np.zeros(values.shape, dtype=width)
-        known = np.zeros(values.shape, dtype=bool)
+        codes = np.empty(values.shape, dtype=np.min_scalar_type(max(len(a) for a in alphabets) - 1))
+        unknown = []  # (row, col, value) of each column's first unknown value
         for col, alphabet in enumerate(alphabets):
-            for code, value in enumerate(alphabet):
-                hit = values[:, col] == value
-                codes[hit, col] = code
-                known[:, col] |= hit
-        if not known.all():
-            row, col = np.argwhere(~known)[0]
-            raise ContexcertError(
-                f"outcome {values[row, col]!r} not in alphabet of {setting[col]}"
-            )
-        self._blocks.append((setting, codes))
+            column = values[:, col] if values.dtype == object else values[:, col].tolist()
+            encoded = alphabet_codes(column, alphabet)
+            codes[:, col] = encoded  # a -1 wraps here but raises below
+            unknown += [(row, col, column[row]) for row in np.flatnonzero(encoded < 0)[:1]]
+        if unknown:
+            _, col, value = min(unknown)  # the first in row-major order
+            raise ContexcertError(f"outcome {value!r} not in alphabet of {setting[col]}")
+        self.code_blocks.append((setting, codes))
 
     def __len__(self) -> int:
-        return sum(len(codes) for _, codes in self._blocks)
+        return sum(len(codes) for _, codes in self.code_blocks)
 
     def __iter__(self) -> Iterator[OutcomeRecord]:
         for setting, rows in self.blocks():
@@ -229,7 +224,7 @@ class Dataset:
         Integer alphabets decode to an int64 matrix, any other alphabet to an
         object matrix holding the alphabet's own values.
         """
-        for setting, codes in self._blocks:
+        for setting, codes in self.code_blocks:
             columns = [
                 _value_array(alphabet)[codes[:, col]]
                 for col, alphabet in enumerate(self.scenario.alphabets(setting))
@@ -239,9 +234,31 @@ class Dataset:
     def settings(self) -> tuple[tuple[str, ...], ...]:
         """Distinct canonical settings in first-appearance order."""
         seen: dict[tuple[str, ...], None] = {}
-        for setting, _ in self._blocks:
+        for setting, _ in self.code_blocks:
             seen.setdefault(self.scenario.canonical_setting(setting), None)
         return tuple(seen)
+
+
+def alphabet_codes(values: Sequence, alphabet: Sequence) -> np.ndarray:
+    """Each value's position in ``alphabet``, or -1 outside it, in one dict
+    pass, as the narrowest signed integers that hold them.  Values match as
+    ``value in alphabet`` does: ``True`` codes as 1."""
+    index = {value: code for code, value in enumerate(alphabet)}
+    dtype = np.min_scalar_type(-len(alphabet))
+    try:
+        return np.fromiter(map(index.get, values, repeat(-1)), dtype=dtype, count=len(values))
+    except TypeError:  # an unhashable value lies outside every alphabet
+        codes = (index.get(v, -1) if getattr(v, "__hash__", None) else -1 for v in values)
+        return np.fromiter(codes, dtype=dtype, count=len(values))
+
+
+def cell_index(codes: np.ndarray, radices: Sequence[int], columns: Iterable[int]) -> np.ndarray:
+    """Mixed-radix number of each code row over ``columns``, first most
+    significant: the row's position in ``product`` of their alphabets."""
+    cell = np.zeros(len(codes), dtype=np.intp)
+    for col, radix in zip(columns, radices):
+        cell = cell * radix + codes[:, col]
+    return cell
 
 
 def _value_array(alphabet: tuple) -> np.ndarray:
@@ -249,11 +266,6 @@ def _value_array(alphabet: tuple) -> np.ndarray:
     if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in alphabet):
         return np.asarray(alphabet, dtype=np.int64)
     return np.asarray(alphabet, dtype=object)
-
-
-def _value_order(cell: tuple) -> tuple:
-    """Ascending outcome-value order, numbers before strings."""
-    return tuple((isinstance(v, str), v) for v in cell)
 
 
 @dataclass(frozen=True)
@@ -339,23 +351,22 @@ def estimate_table(dataset: Dataset, setting: Sequence[str]) -> ProbTable:
     target = frozenset(canonical)
 
     counts = np.zeros(math.prod(radices), dtype=np.int64)
-    for block_setting, codes in dataset._blocks:
+    for block_setting, codes in dataset.code_blocks:
         if frozenset(block_setting) != target:
             continue
-        cell = np.zeros(len(codes), dtype=np.intp)
-        for obs, radix in zip(canonical, radices):
-            cell = cell * radix + codes[:, block_setting.index(obs)]
-        counts += np.bincount(cell, minlength=len(counts))
+        cells = cell_index(codes, radices, map(block_setting.index, canonical))
+        counts += np.bincount(cells, minlength=len(counts))
     total = int(counts.sum())
     if total == 0:
         raise UnknownSetting(f"no records for setting {tuple(setting)}")
 
-    counted = [
-        (tuple(a[c] for a, c in zip(alphabets, np.unravel_index(i, radices))), int(counts[i]))
-        for i in np.flatnonzero(counts)
-    ]
-    # nonzero cells enter the table in ascending outcome-value order
-    counted.sort(key=lambda item: _value_order(item[0]))
+    # nonzero cells enter the table in ascending outcome-value order,
+    # numbers before strings
+    cells = list(product(*alphabets))
+    counted = sorted(
+        ((cells[i], int(counts[i])) for i in np.flatnonzero(counts)),
+        key=lambda item: tuple((isinstance(v, str), v) for v in item[0]),
+    )
     probs = {cell: count / total for cell, count in counted}
     return ProbTable(
         support=canonical,
@@ -379,14 +390,11 @@ def marginalize(table: ProbTable, keep: Sequence[str]) -> ProbTable:
         return table
 
     positions = [table.support.index(obs) for obs in keep]
-    exact = table.is_exact
+    zero = Fraction(0) if table.is_exact else 0.0
     acc: dict[tuple, Any] = {}
     for cell, p in table.probs.items():
         key = tuple(cell[i] for i in positions)
-        if exact:
-            acc[key] = acc.get(key, Fraction(0)) + p
-        else:
-            acc[key] = acc.get(key, 0.0) + p
+        acc[key] = acc.get(key, zero) + p
     return ProbTable(
         support=keep,
         probs=acc,

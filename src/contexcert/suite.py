@@ -247,12 +247,10 @@ def extract_streams(dataset: Dataset) -> dict[str, LabelSequence]:
         key_base = "+".join(dataset.scenario.canonical_setting(setting))
         for obs, column in zip(setting, rows.T.tolist()):
             columns.setdefault(f"{obs}@{key_base}", []).extend(column)
-    streams = {}
-    for key in sorted(columns):
-        obs_id = key.split("@", 1)[0]
-        alphabet = dataset.scenario.observable(obs_id).alphabet
-        streams[key] = LabelSequence(alphabet, tuple(columns[key]))
-    return streams
+    return {
+        key: LabelSequence(dataset.scenario.observable(key.split("@", 1)[0]).alphabet, tuple(columns[key]))
+        for key in sorted(columns)
+    }
 
 
 def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:

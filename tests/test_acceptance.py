@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Tolerances are fixed here, not tuned at runtime.
+lines and timings.  Tolerances are fixed here, not tuned at runtime.  Every
+test here carries the `acceptance` marker, so `pytest -m "not acceptance"`
+runs only the unit tests.
 """
 
 import json
@@ -11,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 
 from contexcert.belltests import (
     ChshInput,
@@ -48,6 +51,8 @@ from contexcert.randomtests import (
 from contexcert.scenario import CorrelationSet, correlation_set
 from contexcert.signaling import no_signaling_test, signaling_deviation
 from contexcert.tolerances import StatisticalTolerance
+
+pytestmark = pytest.mark.acceptance
 
 TSIRELSON = 2 * math.sqrt(2)
 CHSH_PAIRS = (("A1", "B1"), ("A1", "B2"), ("A2", "B1"), ("A2", "B2"))
