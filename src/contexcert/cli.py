@@ -42,7 +42,7 @@ from .quantumgen import (
 )
 from .randomtests import PlaceSelection, randomness_test
 from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_test
-from .tolerances import parse_policy
+from .tolerances import parse_number, parse_policy
 
 SEED_ENV = "CONTEXCERT_SEED"
 
@@ -55,7 +55,7 @@ def _resolve_seed(value: int | None) -> int:
         raise ContexcertError(
             f"a seed is required: pass --seed or set {SEED_ENV}"
         )
-    return int(env)
+    return parse_number(int, env, SEED_ENV)
 
 
 def _emit(payload: dict, args, out: str | None) -> None:
@@ -91,7 +91,7 @@ def _write_generated(dataset, seed: int, args) -> None:
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
-    parts = [float(tok) for tok in text.split(",")]
+    parts = [parse_number(float, tok, "--angles") for tok in text.split(",")]
     if len(parts) != 4:
         raise ContexcertError("--angles needs four comma-separated values a1,a2,b1,b2")
     return tuple(parts)
@@ -123,7 +123,7 @@ def _parse_axes(text: str) -> dict[str, tuple[float, float, float]]:
         obs_id, sep, angle = item.partition(":")
         if not sep:
             raise ContexcertError("--axes format is ID:angle,ID:angle,...")
-        theta = float(angle)
+        theta = parse_number(float, angle, f"--axes {item!r}")
         axes[obs_id.strip()] = (math.sin(theta), 0.0, math.cos(theta))
     return axes
 
@@ -175,8 +175,12 @@ def cmd_generate_state_file(args) -> None:
         pair, sep, count = item.rpartition(":")
         if not sep:
             raise ContexcertError("--pairs format is A+B:count,...")
-        x, _, y = pair.partition("+")
-        settings.append(((observables[x.strip()], observables[y.strip()]), int(count)))
+        ids = [obs_id.strip() for obs_id in pair.partition("+")[::2]]
+        unknown = [obs_id for obs_id in ids if obs_id not in observables]
+        if unknown:
+            raise ContexcertError(f"--pairs {item!r}: unknown observable {unknown[0]!r}")
+        count = parse_number(int, count, f"--pairs {item!r}")
+        settings.append((tuple(observables[obs_id] for obs_id in ids), count))
     dataset = sample_quantum_dataset(state, settings, seed)
     _write_generated(dataset, seed, args)
 
@@ -203,6 +207,7 @@ def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
     selections = []
     for token in text.split(","):
         token = token.strip()
+        parts, context = token.split(":"), f"selection token {token!r}"
         if token == "prime":
             selections.append(PlaceSelection.prime_index())
         elif token.startswith("after:"):
@@ -210,13 +215,14 @@ def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
             symbols = re.findall(r"-\d|.", token[len("after:"):])
             pattern = tuple(_parse_value(sym) for sym in symbols)
             selections.append(PlaceSelection.after_pattern(pattern))
-        elif token.startswith("mod:"):
-            _, m, r = token.split(":")
-            selections.append(PlaceSelection.index_arithmetic(int(m), int(r)))
-        elif token == "coin" or token.startswith("coin:"):
-            parts = token.split(":")
-            coin_seed = int(parts[1]) if len(parts) > 1 else seed
-            bias = float(parts[2]) if len(parts) > 2 else 0.5
+        elif parts[0] == "mod":
+            if len(parts) != 3:
+                raise ContexcertError(f"{context}: expected mod:M:R")
+            m, r = (parse_number(int, part, context) for part in parts[1:])
+            selections.append(PlaceSelection.index_arithmetic(m, r))
+        elif parts[0] == "coin":
+            coin_seed = parse_number(int, parts[1], context) if len(parts) > 1 else seed
+            bias = parse_number(float, parts[2], context) if len(parts) > 2 else 0.5
             selections.append(PlaceSelection.external_coin(coin_seed, bias))
         else:
             raise ContexcertError(f"unknown selection token {token!r}")

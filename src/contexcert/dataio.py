@@ -150,6 +150,8 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
                 for obs_id, value in zip(setting, outcomes):
                     if value not in scenario.observable(obs_id).alphabet:
                         raise ContexcertError(f"outcome {value!r} not in alphabet of {obs_id}")
+                if not rows and len(set(setting)) != len(setting):
+                    raise ContexcertError(f"setting {setting} repeats an observable")
                 if not rows and not scenario.is_compatible(setting):
                     raise ContexcertError(f"setting {setting} is not jointly measurable")
             except ContexcertError as exc:

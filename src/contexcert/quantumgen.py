@@ -201,11 +201,6 @@ def singlet_correlation(angle_a: float, angle_b: float) -> float:
     return -math.cos(angle_a - angle_b)
 
 
-def _setting_rng(seed: int, setting_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(setting_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _sample_from_table(table: ProbTable, count: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draw over outcome tuples in lexicographic alphabet order."""
     cells = np.asarray(list(table.cells()), dtype=np.int64)
@@ -216,15 +211,36 @@ def _sample_from_table(table: ProbTable, count: int, rng: np.random.Generator) -
     return cells[idx]
 
 
-def _scenario_for_pairs(pair_ids: Sequence[tuple[str, str]]) -> Scenario:
-    seen: dict[str, None] = {}
-    for a, b in pair_ids:
-        seen.setdefault(a)
-        seen.setdefault(b)
-    return Scenario(
-        observables=tuple(Observable(i) for i in seen),
-        compatible_sets=tuple(frozenset(p) for p in pair_ids),
-    )
+def _sample_pairs(
+    pairs: Sequence[tuple[tuple[str, str], int]],
+    seed: int,
+    draw: Callable[[int, int, np.random.Generator], np.ndarray],
+    source: str,
+    **extra_meta,
+) -> Dataset:
+    """Rows ``draw(index, count, rng)`` for each setting with a positive count,
+    ``rng`` being the setting's own stream, plus the reproduction metadata."""
+    pairs = [(tuple(pair), count) for pair, count in pairs]
+    ids = dict.fromkeys(obs for pair, _ in pairs for obs in pair)
+    scenario = Scenario(tuple(Observable(i) for i in ids), tuple(frozenset(p) for p, _ in pairs))
+    blocks = []
+    for index, (pair, count) in enumerate(pairs):
+        if count < 0:
+            raise ContexcertError("sample count must be >= 0")
+        if count:
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+            )
+            blocks.append((pair, draw(index, count, rng)))
+    meta = {
+        "source": source,
+        "prng": PRNG_NAME,
+        "seed": seed,
+        "subseed_scheme": SUBSEED_SCHEME,
+        **extra_meta,
+        "settings": [{"pair": list(pair), "count": count} for pair, count in pairs],
+    }
+    return Dataset.from_blocks(scenario, blocks, meta)
 
 
 def sample_quantum_dataset(
@@ -233,26 +249,12 @@ def sample_quantum_dataset(
     seed: int,
 ) -> Dataset:
     """Draw i.i.d. joint outcomes from the trace-rule table of each setting."""
-    pair_ids = [(a.id, b.id) for (a, b), _ in settings]
-    scenario = _scenario_for_pairs(pair_ids)
-    blocks = []
-    for index, ((obs_a, obs_b), count) in enumerate(settings):
-        if count < 0:
-            raise ContexcertError("sample count must be >= 0")
-        if count == 0:
-            continue
-        table = born_table(state, (obs_a, obs_b))
-        rng = _setting_rng(seed, index)
-        blocks.append(((obs_a.id, obs_b.id), _sample_from_table(table, count, rng)))
-    meta = {
-        "source": "quantum",
-        "prng": PRNG_NAME,
-        "seed": seed,
-        "subseed_scheme": SUBSEED_SCHEME,
-        "state_dim": state.dim,
-        "settings": [{"pair": [a, b], "count": c} for (a, b), c in zip(pair_ids, (c for _, c in settings))],
-    }
-    return Dataset.from_blocks(scenario, blocks, meta)
+
+    def draw(index: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        return _sample_from_table(born_table(state, settings[index][0]), count, rng)
+
+    pairs = [((a.id, b.id), count) for (a, b), count in settings]
+    return _sample_pairs(pairs, seed, draw, "quantum", state_dim=state.dim)
 
 
 @dataclass(frozen=True)
@@ -298,30 +300,16 @@ def sample_lhv_dataset(
     seed: int,
 ) -> Dataset:
     """One hidden draw per record, evaluated for both observables of the setting."""
-    pair_ids = [tuple(pair) for pair, _ in settings]
-    scenario = _scenario_for_pairs(pair_ids)
-    blocks = []
-    for index, (pair, count) in enumerate(settings):
-        if count < 0:
-            raise ContexcertError("sample count must be >= 0")
-        if count == 0:
-            continue
-        a, b = pair
-        rng = _setting_rng(seed, index)
+
+    def draw(index: int, count: int, rng: np.random.Generator) -> np.ndarray:
         lambdas = model.lambda_sampler(rng, count)
-        col_a = np.asarray(model.response(a, lambdas), dtype=np.int64)
-        col_b = np.asarray(model.response(b, lambdas), dtype=np.int64)
-        if col_a.shape != (count,) or col_b.shape != (count,):
+        pair = settings[index][0]
+        columns = [np.asarray(model.response(obs, lambdas), dtype=np.int64) for obs in pair]
+        if any(col.shape != (count,) for col in columns):
             raise ContexcertError("response must return one value per hidden draw")
-        blocks.append(((a, b), np.column_stack([col_a, col_b])))
-    meta = {
-        "source": f"lhv:{model.description}",
-        "prng": PRNG_NAME,
-        "seed": seed,
-        "subseed_scheme": SUBSEED_SCHEME,
-        "settings": [{"pair": list(p), "count": c} for p, c in zip(pair_ids, (c for _, c in settings))],
-    }
-    return Dataset.from_blocks(scenario, blocks, meta)
+        return np.column_stack(columns)
+
+    return _sample_pairs(settings, seed, draw, f"lhv:{model.description}")
 
 
 def random_density_state(dim: int, rng: np.random.Generator) -> DensityState:

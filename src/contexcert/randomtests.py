@@ -233,10 +233,13 @@ class SelectionResult:
 class RandomnessReport:
     overall_freq: Mapping[Any, float]
     per_selection: tuple[SelectionResult, ...]
-    verdict: str  # "passed" | "failed"
     tolerance_policy: str
     min_retained: int
     notes: tuple[str, ...] = ()
+
+    @property
+    def verdict(self) -> str:  # "passed" | "failed"
+        return "failed" if any(r.status == "deviant" for r in self.per_selection) else "passed"
 
     def to_json(self) -> dict:
         return {
@@ -279,8 +282,6 @@ def randomness_test(
     overall = frequencies(seq)
 
     results = []
-    any_admissible = False
-    failed = False
     for sel in selections:
         mask = selection_mask(seq, sel)
         retained = int(mask.sum())
@@ -289,7 +290,6 @@ def randomness_test(
                 SelectionResult(sel.description, retained, {}, 0.0, 0.0, "inconclusive")
             )
             continue
-        any_admissible = True
         counts = np.bincount(seq.codes[mask], minlength=len(seq.labels))
         sel_freqs = {label: counts[i] / retained for i, label in enumerate(seq.labels)}
         deviations = {
@@ -303,20 +303,17 @@ def randomness_test(
             for label in seq.labels
         }
         deviant = any(deviations[l] > tols[l] for l in seq.labels)
-        tol = min(tols.values())
-        if deviant:
-            failed = True
         results.append(
             SelectionResult(
                 sel.description,
                 retained,
                 sel_freqs,
                 max_dev,
-                tol,
+                min(tols.values()),
                 "deviant" if deviant else "ok",
             )
         )
-    if not any_admissible:
+    if all(r.status == "inconclusive" for r in results):
         raise AllSelectionsInconclusive(
             f"every selection retained fewer than {min_retained} elements"
         )
@@ -331,7 +328,6 @@ def randomness_test(
     return RandomnessReport(
         overall_freq=overall,
         per_selection=tuple(results),
-        verdict="failed" if failed else "passed",
         tolerance_policy=policy.describe(),
         min_retained=min_retained,
         notes=tuple(notes),

@@ -9,9 +9,9 @@ distance is carried along as an informational field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContexcertError
 from .scenario import Dataset, ProbTable, estimate_table, marginalize
@@ -30,6 +30,11 @@ class NoSharedObservables(ContexcertError):
     """No observable is measured in more than one context of the dataset."""
 
 
+def _deviation(m1: ProbTable, m2: ProbTable) -> float:
+    """L-infinity mismatch of two one-observable marginals over the first's alphabet."""
+    return max(abs(float(m1.prob((v,))) - float(m2.prob((v,)))) for v in m1.alphabets[0])
+
+
 def signaling_deviation(tables: Sequence[ProbTable], observable: str) -> float:
     """Max absolute marginal mismatch of one observable across the tables."""
     present = [t for t in tables if observable in t.support]
@@ -42,11 +47,7 @@ def signaling_deviation(tables: Sequence[ProbTable], observable: str) -> float:
     for m in marginals[1:]:
         if set(m.alphabets[0]) != alphabet:
             raise ContexcertError(f"inconsistent alphabets for {observable!r}")
-    worst = 0.0
-    for m1, m2 in combinations(marginals, 2):
-        for value in alphabet:
-            worst = max(worst, abs(float(m1.prob((value,))) - float(m2.prob((value,)))))
-    return worst
+    return max(_deviation(m1, m2) for m1, m2 in combinations(marginals, 2))
 
 
 def total_variation(m1: ProbTable, m2: ProbTable) -> float:
@@ -58,47 +59,70 @@ def total_variation(m1: ProbTable, m2: ProbTable) -> float:
     return 0.5 * math.fsum(abs(float(m1.prob(c)) - float(m2.prob(c))) for c in cells)
 
 
+class Comparison(NamedTuple):
+    """One observable's marginals compared between two of its contexts."""
+
+    observable: str
+    context1: tuple[str, ...]
+    context2: tuple[str, ...]
+    deviation: float
+    total_variation: float
+    tolerance: float
+
+
 @dataclass(frozen=True)
 class SignalingReport:
-    """Per-observable worst-case marginal discrepancies plus the verdict.
+    """Every pairwise marginal comparison; the summary fields derive from them.
 
-    ``verdict`` is "no_signaling" exactly when every discrepancy is at most
-    ``tolerance_used``; under the statistical policy ``tolerance_used`` is
-    the most conservative (smallest) per-comparison k-sigma tolerance, so the
-    scalar comparison stays sound for every individual context pair.
+    ``per_observable`` is each observable's worst deviation.  ``verdict`` is
+    "no_signaling" exactly when every deviation is at most ``tolerance_used``,
+    the smallest per-comparison tolerance, so under the statistical policy
+    the scalar comparison stays sound for every individual context pair.
     """
 
-    per_observable: Mapping[str, float]
-    contexts_compared: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    verdict: str  # "no_signaling" | "signaling"
-    tolerance_used: float
+    comparisons: tuple[Comparison, ...]
     policy: str = ""
-    comparisons: tuple = ()
+
+    @property
+    def per_observable(self) -> dict[str, float]:
+        worst: dict[str, float] = {}
+        for c in self.comparisons:
+            worst[c.observable] = max(worst.get(c.observable, 0.0), c.deviation)
+        return worst
+
+    @property
+    def tolerance_used(self) -> float:
+        return min(c.tolerance for c in self.comparisons)
+
+    @property
+    def verdict(self) -> str:  # "no_signaling" | "signaling"
+        worst = max(self.per_observable.values())
+        return "no_signaling" if worst <= self.tolerance_used else "signaling"
 
     def to_json(self) -> dict:
-        per_obs = {}
-        for obs in sorted(self.per_observable):
-            contexts = sorted(
-                {"+".join(ctx) for pair in self.contexts_compared for ctx in pair if obs in ctx}
-            )
-            per_obs[obs] = {
-                "deviation": self.per_observable[obs],
-                "contexts": contexts,
-            }
         return {
-            "per_observable": per_obs,
+            "per_observable": {
+                obs: {
+                    "deviation": worst,
+                    "contexts": sorted(
+                        {"+".join(ctx) for c in self.comparisons if c.observable == obs
+                         for ctx in (c.context1, c.context2)}
+                    ),
+                }
+                for obs, worst in sorted(self.per_observable.items())
+            },
             "verdict": self.verdict,
             "tolerance": self.tolerance_used,
             "policy": self.policy,
             "comparisons": [
                 {
-                    "observable": obs,
-                    "contexts": ["+".join(c1), "+".join(c2)],
-                    "deviation": dev,
-                    "total_variation": tv,
-                    "tolerance": tol,
+                    "observable": c.observable,
+                    "contexts": ["+".join(c.context1), "+".join(c.context2)],
+                    "deviation": c.deviation,
+                    "total_variation": c.total_variation,
+                    "tolerance": c.tolerance,
                 }
-                for obs, c1, c2, dev, tv, tol in self.comparisons
+                for c in self.comparisons
             ],
         }
 
@@ -112,60 +136,30 @@ def no_signaling_test(
     k * sqrt(p_pooled * (1 - p_pooled) / N_min); the scalar reported (and
     used for the verdict) is the smallest of these.
     """
-    settings = dataset.settings()
-    tables = {s: estimate_table(dataset, s) for s in settings}
-
-    shared: dict[str, list[tuple[tuple[str, ...], ProbTable]]] = {}
-    for s, t in tables.items():
+    contexts: dict[str, list[tuple[tuple[str, ...], ProbTable]]] = {}
+    for s in dataset.settings():
+        table = estimate_table(dataset, s)
         for obs in s:
-            shared.setdefault(obs, []).append((s, t))
-    shared = {obs: ctxs for obs, ctxs in shared.items() if len(ctxs) >= 2}
+            contexts.setdefault(obs, []).append((s, table))
+    shared = sorted(obs for obs, tables in contexts.items() if len(tables) >= 2)
     if not shared:
         raise NoSharedObservables(
             "no observable is measured in two or more contexts; nothing to compare"
         )
 
-    per_observable: dict[str, float] = {}
     comparisons = []
-    context_pairs = []
-    tolerances = []
-    for obs in sorted(shared):
-        worst = 0.0
-        for (s1, t1), (s2, t2) in combinations(shared[obs], 2):
-            m1 = marginalize(t1, (obs,))
-            m2 = marginalize(t2, (obs,))
-            alphabet = m1.alphabets[0]
-            dev = max(
-                abs(float(m1.prob((v,))) - float(m2.prob((v,)))) for v in alphabet
-            )
-            tv = total_variation(m1, m2)
-            n1 = t1.sample_size or 0
-            n2 = t2.sample_size or 0
+    for obs in shared:
+        marginals = [(s, marginalize(t, (obs,))) for s, t in contexts[obs]]
+        for (s1, m1), (s2, m2) in combinations(marginals, 2):
+            n1, n2 = m1.sample_size, m2.sample_size
+            pooled = [
+                (n1 * float(m1.prob((v,))) + n2 * float(m2.prob((v,)))) / (n1 + n2)
+                for v in m1.alphabets[0]
+            ]
             tol = resolve_tolerance(
-                policy,
-                lambda k: min(
-                    k
-                    * binomial_sigma(
-                        (n1 * float(m1.prob((v,))) + n2 * float(m2.prob((v,)))) / (n1 + n2),
-                        min(n1, n2),
-                    )
-                    for v in alphabet
-                ),
+                policy, lambda k: min(k * binomial_sigma(p, min(n1, n2)) for p in pooled)
             )
-            worst = max(worst, dev)
-            comparisons.append((obs, s1, s2, dev, tv, tol))
-            context_pairs.append((s1, s2))
-            tolerances.append(tol)
-        per_observable[obs] = worst
-
-    tolerance_used = min(tolerances)
-    worst_overall = max(per_observable.values())
-    verdict = "no_signaling" if worst_overall <= tolerance_used else "signaling"
-    return SignalingReport(
-        per_observable=per_observable,
-        contexts_compared=tuple(dict.fromkeys(context_pairs)),
-        verdict=verdict,
-        tolerance_used=tolerance_used,
-        policy=policy.describe(),
-        comparisons=tuple(comparisons),
-    )
+            comparisons.append(
+                Comparison(obs, s1, s2, _deviation(m1, m2), total_variation(m1, m2), tol)
+            )
+    return SignalingReport(tuple(comparisons), policy.describe())

@@ -242,14 +242,15 @@ def extract_streams(dataset: Dataset) -> dict[str, LabelSequence]:
     Streams from different settings stay separate; concatenating across
     contexts is deliberately not offered here.
     """
-    columns: dict[str, list] = {}
+    columns: dict[str, tuple[tuple, list]] = {}
     for setting, rows in dataset.blocks():
         key_base = "+".join(dataset.scenario.canonical_setting(setting))
-        for obs, column in zip(setting, rows.T.tolist()):
-            columns.setdefault(f"{obs}@{key_base}", []).extend(column)
+        alphabets = dataset.scenario.alphabets(setting)
+        for obs, alphabet, column in zip(setting, alphabets, rows.T.tolist()):
+            columns.setdefault(f"{obs}@{key_base}", (alphabet, []))[1].extend(column)
     return {
-        key: LabelSequence(dataset.scenario.observable(key.split("@", 1)[0]).alphabet, tuple(columns[key]))
-        for key in sorted(columns)
+        key: LabelSequence(alphabet, tuple(values))
+        for key, (alphabet, values) in sorted(columns.items())
     }
 
 

@@ -43,15 +43,26 @@ class StatisticalTolerance:
 TolerancePolicy = FixedTolerance | StatisticalTolerance
 
 
+def parse_number(convert, token: str, context: str):
+    """``convert(token)`` for ``int`` or ``float``; a token it cannot read
+    raises a :class:`ContexcertError` that names it after ``context``."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ContexcertError(f"{context}: cannot read {token!r} as {convert.__name__}") from None
+
+
 def parse_policy(text: str) -> TolerancePolicy:
     """Parse CLI policy syntax, e.g. ``fixed:0.01`` or ``k-sigma:3``."""
     name, sep, arg = text.partition(":")
     if name == "fixed":
         if not sep:
             raise ContexcertError("fixed policy needs a value, e.g. fixed:0.01")
-        return FixedTolerance(float(arg))
+        return FixedTolerance(parse_number(float, arg, f"tolerance policy {text!r}"))
     if name in ("k-sigma", "statistical"):
-        return StatisticalTolerance(float(arg)) if sep else StatisticalTolerance()
+        if not sep:
+            return StatisticalTolerance()
+        return StatisticalTolerance(parse_number(float, arg, f"tolerance policy {text!r}"))
     raise ContexcertError(f"unknown tolerance policy {text!r}")
 
 

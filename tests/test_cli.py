@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from contexcert.cli import _parse_selections, main
@@ -463,6 +464,47 @@ class TestFullSuite:
         )
         assert code == 0
         assert "summary" in out
+
+
+STREAM = ["randomness", "--stream", "{stream}", "--seed", "1"]
+STATE_FILE = ["generate", "state-file", "--state", "{state}", "--observables", "{obs}"]
+GENERATED = ["--seed", "1", "--out", "{tmp}/g.csv"]
+MALFORMED = {
+    "selections mod without residue": [*STREAM, "--selections", "mod:2"],
+    "selections mod not an integer": [*STREAM, "--selections", "mod:2:x"],
+    "selections coin seed": [*STREAM, "--selections", "coin:x"],
+    "selections coin bias": [*STREAM, "--selections", "coin:1:heads"],
+    "policy value": [*STREAM, "--policy", "k-sigma:abc"],
+    "fixed policy value": [*STREAM, "--policy", "fixed:"],
+    "angles": ["generate", "singlet", "--angles", "0,1,2,x", "--n", "10", *GENERATED],
+    "axes": ["generate", "lhv", "--axes", "A1:0,A2:x,B1:0,B2:1", "--n", "10", *GENERATED],
+    "pairs count": [*STATE_FILE, "--pairs", "A1+B1:ten", *GENERATED],
+    "pairs id": [*STATE_FILE, "--pairs", "A1+Z9:10", *GENERATED],
+    "pairs without partner": [*STATE_FILE, "--pairs", "A1:10", *GENERATED],
+    "full-suite policy": [
+        "full-suite", "--data", "{csv}", "--scenario", "{scen}", "--seed", "1",
+        "--tolerance-policy", "k-sigma:3x",
+    ],
+    "seed variable": ["randomness", "--stream", "{stream}"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONTEXCERT_SEED", "seven")  # read only where --seed is absent
+    stream = tmp_path / "seq.txt"
+    stream.write_text("1\n-1\n" * 100)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"matrix": (np.eye(4) / 4).tolist()}))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps([{"id": "A1", "angle": 0}, {"id": "B1", "angle": 1, "qubit": 1}]))
+    csv, scen = write_triangle(tmp_path, lhv_triangle())
+    paths = dict(stream=stream, state=state, obs=obs, csv=csv, scen=scen, tmp=tmp_path)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("contexcert: error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_version(capsys):

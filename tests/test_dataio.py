@@ -74,6 +74,14 @@ class TestDatasetCsv:
             read_dataset_csv(path, small_scenario())
         assert err.value.index == 1
 
+    def test_repeated_observable_flagged_with_position(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("setting;outcomes\nA1+B1;1,1\nA1+A1;1,1\n")
+        with pytest.raises(ValidationError) as err:
+            read_dataset_csv(path, small_scenario())
+        assert err.value.index == 1
+        assert str(err.value) == "record 1: setting ('A1', 'A1') repeats an observable"
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("A1+B1;1,1\n")

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contexcert.belltests import ChshInput, chsh_max
 from contexcert.errors import ContexcertError
 from contexcert.quantumgen import (
+    PRNG_NAME,
+    SUBSEED_SCHEME,
     DensityState,
     InvalidState,
     LhvModel,
@@ -22,7 +26,15 @@ from contexcert.quantumgen import (
     singlet_state,
     sphere_lhv_model,
 )
-from contexcert.scenario import correlation, correlation_set, marginalize
+from contexcert.quantumgen import _sample_from_table
+from contexcert.scenario import (
+    Dataset,
+    Observable,
+    Scenario,
+    correlation,
+    correlation_set,
+    marginalize,
+)
 
 
 class TestDensityState:
@@ -243,3 +255,129 @@ class TestBlochObservable:
         obs = bloch_observable("A", tuple(v), qubit=0, n_qubits=1)
         t = born_table(DensityState(np.eye(2) / 2), (obs,))
         assert math.isclose(t.prob((1,)), 0.5, abs_tol=1e-12)
+
+
+# ------------------------------------------------ one sampling loop for both samplers
+# The references are the two samplers as they were before they shared a loop.
+
+
+def _reference_rng(seed, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def _reference_scenario(pair_ids):
+    seen = {}
+    for a, b in pair_ids:
+        seen.setdefault(a)
+        seen.setdefault(b)
+    return Scenario(
+        observables=tuple(Observable(i) for i in seen),
+        compatible_sets=tuple(frozenset(p) for p in pair_ids),
+    )
+
+
+def reference_sample_quantum_dataset(state, settings, seed):
+    pair_ids = [(a.id, b.id) for (a, b), _ in settings]
+    scenario = _reference_scenario(pair_ids)
+    blocks = []
+    for index, ((obs_a, obs_b), count) in enumerate(settings):
+        if count < 0:
+            raise ContexcertError("sample count must be >= 0")
+        if count == 0:
+            continue
+        table = born_table(state, (obs_a, obs_b))
+        rng = _reference_rng(seed, index)
+        blocks.append(((obs_a.id, obs_b.id), _sample_from_table(table, count, rng)))
+    meta = {
+        "source": "quantum",
+        "prng": PRNG_NAME,
+        "seed": seed,
+        "subseed_scheme": SUBSEED_SCHEME,
+        "state_dim": state.dim,
+        "settings": [{"pair": [a, b], "count": c} for (a, b), (_, c) in zip(pair_ids, settings)],
+    }
+    return Dataset.from_blocks(scenario, blocks, meta)
+
+
+def reference_sample_lhv_dataset(model, settings, seed):
+    pair_ids = [tuple(pair) for pair, _ in settings]
+    scenario = _reference_scenario(pair_ids)
+    blocks = []
+    for index, (pair, count) in enumerate(settings):
+        if count < 0:
+            raise ContexcertError("sample count must be >= 0")
+        if count == 0:
+            continue
+        a, b = pair
+        lambdas = model.lambda_sampler(_reference_rng(seed, index), count)
+        col_a = np.asarray(model.response(a, lambdas), dtype=np.int64)
+        col_b = np.asarray(model.response(b, lambdas), dtype=np.int64)
+        if col_a.shape != (count,) or col_b.shape != (count,):
+            raise ContexcertError("response must return one value per hidden draw")
+        blocks.append(((a, b), np.column_stack([col_a, col_b])))
+    meta = {
+        "source": f"lhv:{model.description}",
+        "prng": PRNG_NAME,
+        "seed": seed,
+        "subseed_scheme": SUBSEED_SCHEME,
+        "settings": [{"pair": list(p), "count": c} for p, (_, c) in zip(pair_ids, settings)],
+    }
+    return Dataset.from_blocks(scenario, blocks, meta)
+
+
+def sampled(sampler, *args):
+    """Everything a sampled dataset carries, or the error it raised."""
+    try:
+        ds = sampler(*args)
+    except ContexcertError as exc:
+        return type(exc), str(exc)
+    blocks = [(setting, codes.dtype, codes.tolist()) for setting, codes in ds.code_blocks]
+    return ds.scenario, blocks, list(ds.meta.items())
+
+
+SIDES = {"A": 0, "A'": 0, "B": 1, "B'": 1}
+SAMPLE_PAIRS = st.lists(
+    st.tuples(
+        st.sampled_from([("A", "B"), ("B'", "A"), ("A'", "B'"), ("A", "B'")]),
+        st.sampled_from([0, 1, 7, 40]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestSamplersShareOneLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=SAMPLE_PAIRS, seed=st.integers(0, 2**32 - 1), negative=st.booleans())
+    def test_quantum_matches_reference(self, pairs, seed, negative):
+        if negative:
+            pairs = pairs + [(pairs[0][0], -1)]
+        obs = {k: planar_observable(k, 0.4 * i, qubit=q) for i, (k, q) in enumerate(SIDES.items())}
+        settings_ = [((obs[a], obs[b]), n) for (a, b), n in pairs]
+        state = singlet_state()
+        assert sampled(sample_quantum_dataset, state, settings_, seed) == sampled(
+            reference_sample_quantum_dataset, state, settings_, seed
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=SAMPLE_PAIRS, seed=st.integers(0, 2**32 - 1), negative=st.booleans())
+    def test_lhv_matches_reference(self, pairs, seed, negative):
+        if negative:
+            pairs = pairs + [(pairs[0][0], -1)]
+        model = sphere_lhv_model({k: (math.sin(i), 0.0, math.cos(i)) for i, k in enumerate(SIDES)})
+        assert sampled(sample_lhv_dataset, model, pairs, seed) == sampled(
+            reference_sample_lhv_dataset, model, pairs, seed
+        )
+
+    def test_zero_count_setting_is_not_drawn(self):
+        a = planar_observable("A", 0.0, qubit=0)
+        a2 = planar_observable("A'", 1.0, qubit=0)  # does not commute with A
+        ds = sample_quantum_dataset(singlet_state(), [((a, a2), 0)], seed=1)
+        assert len(ds) == 0
+        assert ds.meta["settings"] == [{"pair": ["A", "A'"], "count": 0}]
+
+    def test_lhv_response_shape_checked(self):
+        model = LhvModel(lambda rng, n: rng.random(n), lambda obs, lam: np.ones(2, dtype=np.int64))
+        with pytest.raises(ContexcertError, match="one value per hidden draw"):
+            sample_lhv_dataset(model, [(("A", "B"), 3)], seed=1)

@@ -126,6 +126,26 @@ class TestFullSuite:
         assert data["provenance"]["dataset_meta"]["seed"] == 1
 
 
+class TestExtractStreams:
+    @pytest.mark.parametrize("with_a", [False, True])
+    def test_observable_id_with_at_sign(self, with_a):
+        # the stream key A@1@A@1+B must not be read back as observable A
+        observables = [Observable("A@1", ("x", "y")), Observable("B")]
+        compatible = [frozenset({"A@1", "B"})]
+        if with_a:
+            observables.append(Observable("A"))
+            compatible.append(frozenset({"A", "B"}))
+        scenario = Scenario(tuple(observables), tuple(compatible))
+        rows = [("x", 1), ("y", -1), ("y", 1)] * 20
+        ds = Dataset(scenario, [OutcomeRecord(("A@1", "B"), r) for r in rows])
+        streams = suite.extract_streams(ds)
+        assert sorted(streams) == ["A@1@A@1+B", "B@A@1+B"]
+        assert streams["A@1@A@1+B"].labels == ("x", "y")
+        assert streams["A@1@A@1+B"].values == tuple(r[0] for r in rows)
+        report = run_full_suite(ds, RunConfig()).to_json()
+        assert report["summary"]["randomness"]["A@1@A@1+B"] in ("passed", "failed")
+
+
 class TestInequalityRunner:
     def test_quadrupole_counted_once_per_suite(self, monkeypatch):
         counted = []
