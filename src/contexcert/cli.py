@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    ParseError,
     _parse_value,
     dumps_json,
     ingest,
@@ -167,9 +168,15 @@ def _load_observable(entry: dict, dim: int) -> ProjectiveObservable:
 def cmd_generate_state_file(args) -> None:
     seed = _resolve_seed(args.seed)
     state_data = json.loads(Path(args.state).read_text())
-    state = DensityState(_complex_matrix(state_data["matrix"]))
+    try:
+        state = DensityState(_complex_matrix(state_data["matrix"]))
+    except KeyError as exc:
+        raise ParseError(f"state JSON missing field: {exc}") from None
     obs_data = json.loads(Path(args.observables).read_text())
-    observables = {o["id"]: _load_observable(o, state.dim) for o in obs_data}
+    try:
+        observables = {o["id"]: _load_observable(o, state.dim) for o in obs_data}
+    except KeyError as exc:
+        raise ParseError(f"observables JSON missing field: {exc}") from None
     settings = []
     for item in args.pairs.split(","):
         pair, sep, count = item.rpartition(":")

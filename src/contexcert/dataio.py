@@ -27,6 +27,7 @@ from .scenario import (
     ProbTable,
     Scenario,
     cell_index,
+    encode_rows,
 )
 
 CSV_HEADER = "setting;outcomes"
@@ -119,11 +120,10 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
     if lines[0].strip() != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
 
-    # Each distinct outcome text is parsed and checked once per block, and the
-    # setting's compatibility once, at the block's first record; every check
-    # still runs before any later line is read, so errors name the first
-    # offending line.
-    blocks: list[tuple[tuple[str, ...], list[tuple]]] = []
+    # A block's distinct outcome texts are each parsed and encoded once, as they
+    # first appear, so errors name the first offending line; each line is then
+    # one pick of its text's code row.
+    blocks: list[tuple[tuple[str, ...], list[np.ndarray], list[int]]] = []
     prefix = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -136,29 +136,26 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
             prefix = parts[0]
             setting = tuple(tok.strip() for tok in prefix.split("+"))
             if not blocks or blocks[-1][0] != setting:
-                blocks.append((setting, []))
-                parsed: dict[str, tuple] = {}
-        rows = blocks[-1][1]
-        outcomes = parsed.get(parts[1])
-        if outcomes is None:
-            outcomes = tuple(_parse_value(tok) for tok in parts[1].split(","))
+                blocks.append((setting, [], []))
+                seen: dict[str, int] = {}
+        _, distinct, picks = blocks[-1]
+        pick = seen.get(parts[1])
+        if pick is None:
+            outcomes = [_parse_value(tok) for tok in parts[1].split(",")]
             if len(setting) != len(outcomes):
                 raise ParseError(
                     f"{len(setting)} setting ids but {len(outcomes)} outcomes", line=lineno
                 )
             try:
-                for obs_id, value in zip(setting, outcomes):
-                    if value not in scenario.observable(obs_id).alphabet:
-                        raise ContexcertError(f"outcome {value!r} not in alphabet of {obs_id}")
-                if not rows and len(set(setting)) != len(setting):
-                    raise ContexcertError(f"setting {setting} repeats an observable")
-                if not rows and not scenario.is_compatible(setting):
-                    raise ContexcertError(f"setting {setting} is not jointly measurable")
+                distinct.append(encode_rows(scenario, setting, [outcomes]))
             except ContexcertError as exc:
                 raise ValidationError(str(exc), index=lineno - 2) from None
-            parsed[parts[1]] = outcomes
-        rows.append(outcomes)
-    return Dataset.from_blocks(scenario, blocks)
+            pick = seen[parts[1]] = len(distinct) - 1
+        picks.append(pick)
+    dataset = Dataset(scenario)
+    for setting, distinct, picks in blocks:
+        dataset.code_blocks.append((setting, np.concatenate(distinct)[picks]))
+    return dataset
 
 
 def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:

@@ -43,32 +43,45 @@ class AllSelectionsInconclusive(ContexcertError):
     """Every selection retained fewer than the admissibility minimum."""
 
 
-@dataclass(frozen=True)
 class LabelSequence:
-    """Finite sequence over a declared label alphabet."""
+    """Finite sequence over a declared label alphabet, held as ``codes``, each
+    value's position in ``labels``; a sequence built from codes decodes its
+    ``values`` only when they are read."""
 
-    labels: tuple
-    values: tuple
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        values = tuple(self.values)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-        if not labels or len(set(labels)) != len(labels):
-            raise ContexcertError("labels must be nonempty and distinct")
-        if not values:
-            raise ContexcertError("sequence must contain at least one value")
+    def __init__(self, labels: Sequence, values: Iterable) -> None:
+        self.values = tuple(values)
+        self._check(labels, self.values)
         unknown = np.flatnonzero(self.codes < 0)
         if len(unknown):
-            raise UnknownLabel(f"value {values[unknown[0]]!r} not among labels {labels}")
+            raise UnknownLabel(f"value {self.values[unknown[0]]!r} not among labels {self.labels}")
+
+    @classmethod
+    def from_codes(cls, labels: Sequence, codes: np.ndarray) -> "LabelSequence":
+        """The sequence over ``labels`` whose codes are ``codes``, kept as given."""
+        seq = cls.__new__(cls)
+        seq.codes = codes
+        seq._check(labels, codes)
+        if codes.min() < 0 or codes.max() >= len(seq.labels):
+            raise ContexcertError(f"codes must lie in 0..{len(seq.labels) - 1}")
+        return seq
+
+    def _check(self, labels: Sequence, items: Sequence) -> None:
+        self.labels = tuple(labels)
+        if not self.labels or len(set(self.labels)) != len(self.labels):
+            raise ContexcertError("labels must be nonempty and distinct")
+        if not len(items):
+            raise ContexcertError("sequence must contain at least one value")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.codes)
 
     @cached_property
     def codes(self) -> np.ndarray:
         return alphabet_codes(self.values, self.labels)
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(map(self.labels.__getitem__, self.codes.tolist()))
 
     @classmethod
     def from_values(cls, values: Iterable, labels: Sequence | None = None) -> "LabelSequence":
@@ -187,8 +200,7 @@ def apply_selection(seq: LabelSequence, sel: PlaceSelection) -> LabelSequence:
     mask = selection_mask(seq, sel)
     if not mask.any():
         raise EmptySelection(f"selection '{sel.description}' retained nothing")
-    retained = tuple(seq.values[i] for i in np.flatnonzero(mask))
-    return LabelSequence(seq.labels, retained)
+    return LabelSequence.from_codes(seq.labels, seq.codes[mask])
 
 
 def frequency(seq: LabelSequence, label) -> float:

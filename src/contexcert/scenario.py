@@ -151,8 +151,7 @@ class Dataset:
     Records are stored in contiguous per-setting blocks, ``code_blocks``,
     each an unsigned integer matrix of alphabet indices (codes) whatever the
     alphabet's value type, so that counting is one ``np.bincount`` per block.
-    :meth:`blocks` decodes back to outcome values; iteration yields individual
-    :class:`OutcomeRecord` values in acquisition order.
+    Iteration decodes them to :class:`OutcomeRecord` values in acquisition order.
     """
 
     def __init__(
@@ -185,51 +184,18 @@ class Dataset:
         return ds
 
     def _append(self, setting: tuple[str, ...], rows: Any) -> None:
-        """Validate one block of outcome rows and store it as codes."""
-        if len(set(setting)) != len(setting):
-            raise ContexcertError(f"setting {setting} repeats an observable")
-        if not self.scenario.is_compatible(setting):
-            raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
-        # object dtype keeps mixed rows' types; other ndarrays give Python
-        # values through ``tolist``, a column at a time
-        values = np.asarray(rows, dtype=None if isinstance(rows, np.ndarray) else object)
-        if len(values) == 0:
-            return
-        if values.ndim != 2 or values.shape[1] != len(setting):
-            raise ContexcertError("outcome matrix shape does not match setting")
-        alphabets = self.scenario.alphabets(setting)
-        codes = np.empty(values.shape, dtype=np.min_scalar_type(max(len(a) for a in alphabets) - 1))
-        unknown = []  # (row, col, value) of each column's first unknown value
-        for col, alphabet in enumerate(alphabets):
-            column = values[:, col] if values.dtype == object else values[:, col].tolist()
-            encoded = alphabet_codes(column, alphabet)
-            codes[:, col] = encoded  # a -1 wraps here but raises below
-            unknown += [(row, col, column[row]) for row in np.flatnonzero(encoded < 0)[:1]]
-        if unknown:
-            _, col, value = min(unknown)  # the first in row-major order
-            raise ContexcertError(f"outcome {value!r} not in alphabet of {setting[col]}")
-        self.code_blocks.append((setting, codes))
+        codes = encode_rows(self.scenario, setting, rows)
+        if len(codes):
+            self.code_blocks.append((setting, codes))
 
     def __len__(self) -> int:
         return sum(len(codes) for _, codes in self.code_blocks)
 
     def __iter__(self) -> Iterator[OutcomeRecord]:
-        for setting, rows in self.blocks():
-            for row in rows.tolist():
-                yield OutcomeRecord(setting, row)
-
-    def blocks(self) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
-        """(setting, outcome-value matrix) per block, in acquisition order.
-
-        Integer alphabets decode to an int64 matrix, any other alphabet to an
-        object matrix holding the alphabet's own values.
-        """
         for setting, codes in self.code_blocks:
-            columns = [
-                _value_array(alphabet)[codes[:, col]]
-                for col, alphabet in enumerate(self.scenario.alphabets(setting))
-            ]
-            yield setting, np.column_stack(columns)
+            alphabets = self.scenario.alphabets(setting)
+            for row in codes.tolist():
+                yield OutcomeRecord(setting, tuple(map(tuple.__getitem__, alphabets, row)))
 
     def settings(self) -> tuple[tuple[str, ...], ...]:
         """Distinct canonical settings in first-appearance order."""
@@ -237,6 +203,35 @@ class Dataset:
         for setting, _ in self.code_blocks:
             seen.setdefault(self.scenario.canonical_setting(setting), None)
         return tuple(seen)
+
+
+def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.ndarray:
+    """Check one block of outcome rows against ``scenario`` and return it as
+    codes: the ids must be known and distinct, the setting jointly measurable,
+    each row one value per id and each value in its id's alphabet."""
+    scenario.canonical_setting(setting)  # an unknown or repeated id raises
+    if not scenario.is_compatible(setting):
+        raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
+    alphabets = scenario.alphabets(setting)
+    width = np.min_scalar_type(max(len(a) for a in alphabets) - 1)
+    # object dtype keeps mixed rows' types; other ndarrays give Python
+    # values through ``tolist``, a column at a time
+    values = np.asarray(rows, dtype=None if isinstance(rows, np.ndarray) else object)
+    if len(values) == 0:
+        return np.empty((0, len(setting)), dtype=width)
+    if values.ndim != 2 or values.shape[1] != len(setting):
+        raise ContexcertError("outcome matrix shape does not match setting")
+    codes = np.empty(values.shape, dtype=width)
+    unknown = []  # (row, col, value) of each column's first unknown value
+    for col, alphabet in enumerate(alphabets):
+        column = values[:, col] if values.dtype == object else values[:, col].tolist()
+        encoded = alphabet_codes(column, alphabet)
+        codes[:, col] = encoded  # a -1 wraps here but raises below
+        unknown += [(row, col, column[row]) for row in np.flatnonzero(encoded < 0)[:1]]
+    if unknown:
+        _, col, value = min(unknown)  # the first in row-major order
+        raise ContexcertError(f"outcome {value!r} not in alphabet of {setting[col]}")
+    return codes
 
 
 def alphabet_codes(values: Sequence, alphabet: Sequence) -> np.ndarray:
@@ -259,13 +254,6 @@ def cell_index(codes: np.ndarray, radices: Sequence[int], columns: Iterable[int]
     for col, radix in zip(columns, radices):
         cell = cell * radix + codes[:, col]
     return cell
-
-
-def _value_array(alphabet: tuple) -> np.ndarray:
-    """The alphabet as a code -> value lookup array."""
-    if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in alphabet):
-        return np.asarray(alphabet, dtype=np.int64)
-    return np.asarray(alphabet, dtype=object)
 
 
 @dataclass(frozen=True)

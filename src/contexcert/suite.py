@@ -3,7 +3,9 @@
 Order of operations: marginal-consistency check, applicable inequality tests
 (detected from the dataset's measured pairs), direct feasibility
 cross-checks, then the per-stream frequency-stability battery.  Tests whose
-settings are absent produce explicit skip entries instead of aborting.
+settings are absent, or whose data miss a precondition (zero means, the
+original Bell constraint, +-1 alphabets), produce explicit skip entries
+instead of aborting.
 Each inequality test runs through :func:`run_inequality_test`, which the
 ``test`` command calls as well.
 
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Mapping
+
+import numpy as np
 
 from . import __version__
 from .belltests import (
@@ -42,7 +46,7 @@ from .randomtests import (
     randomness_test,
     stabilization_profile,
 )
-from .scenario import CorrelationSet, Dataset, correlation_set
+from .scenario import CorrelationSet, Dataset, NonDichotomous, correlation_set
 from .signaling import NoSharedObservables, no_signaling_test
 from .tolerances import StatisticalTolerance, TolerancePolicy, resolve_tolerance
 
@@ -243,14 +247,14 @@ def extract_streams(dataset: Dataset) -> dict[str, LabelSequence]:
     contexts is deliberately not offered here.
     """
     columns: dict[str, tuple[tuple, list]] = {}
-    for setting, rows in dataset.blocks():
+    for setting, codes in dataset.code_blocks:
         key_base = "+".join(dataset.scenario.canonical_setting(setting))
         alphabets = dataset.scenario.alphabets(setting)
-        for obs, alphabet, column in zip(setting, alphabets, rows.T.tolist()):
-            columns.setdefault(f"{obs}@{key_base}", (alphabet, []))[1].extend(column)
+        for obs, alphabet, column in zip(setting, alphabets, codes.T):
+            columns.setdefault(f"{obs}@{key_base}", (alphabet, []))[1].append(column)
     return {
-        key: LabelSequence(alphabet, tuple(values))
-        for key, (alphabet, values) in sorted(columns.items())
+        key: LabelSequence.from_codes(alphabet, np.concatenate(parts))
+        for key, (alphabet, parts) in sorted(columns.items())
     }
 
 
@@ -271,7 +275,9 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
     for which in INEQUALITY_TESTS:
         try:
             run = run_inequality_test(dataset, which, config, counted=counted)
-        except (MissingSettings, ZeroMeanViolated, CorrelationConstraintUnmet) as exc:
+        except (
+            MissingSettings, ZeroMeanViolated, CorrelationConstraintUnmet, NonDichotomous
+        ) as exc:
             verdicts.append({"test": which, "status": "skipped", "reason": str(exc)})
             if not isinstance(exc, MissingSettings):
                 summary[which] = "skipped"

@@ -23,6 +23,8 @@ class FixedTolerance:
     def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ContexcertError("fixed tolerance must be >= 0")
+        if not math.isfinite(self.epsilon):
+            raise ContexcertError(f"fixed tolerance must be finite, got {self.epsilon!r}")
 
     def describe(self) -> str:
         return f"fixed:{self.epsilon:g}"
@@ -35,6 +37,8 @@ class StatisticalTolerance:
     def __post_init__(self) -> None:
         if self.k <= 0:
             raise ContexcertError("k-sigma tolerance requires k > 0")
+        if not math.isfinite(self.k):
+            raise ContexcertError(f"k-sigma tolerance requires a finite k, got {self.k!r}")
 
     def describe(self) -> str:
         return f"k-sigma:{self.k:g}"

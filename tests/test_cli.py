@@ -465,7 +465,33 @@ class TestFullSuite:
         assert code == 0
         assert "summary" in out
 
+    def test_non_dichotomous_triangle_is_a_skip_entry(self, tmp_path, capsys):
+        alphabets = {"X": ("a", "b", "c"), "Y": ("u", "v"), "Z": ("p", "q")}
+        pairs = (("X", "Y"), ("Y", "Z"), ("X", "Z"))
+        scenario = Scenario(
+            tuple(Observable(k, v) for k, v in alphabets.items()), tuple(map(frozenset, pairs))
+        )
+        rng = np.random.default_rng(2)
+        blocks = [
+            (pair, [tuple(rng.choice(alphabets[o]) for o in pair) for _ in range(200)])
+            for pair in pairs
+        ]
+        csv, scen = write_triangle(tmp_path, Dataset.from_blocks(scenario, blocks))
+        argv = ["--data", str(csv), "--scenario", str(scen)]
+        code, out, err = run_cli(capsys, "full-suite", *argv, "--seed", "1")
+        assert code == 0, err
+        report = json.loads(out)
+        reason = "X has alphabet ('a', 'b', 'c'), need (+1, -1)"
+        skip = {"test": "suppes-zanotti", "status": "skipped", "reason": reason}
+        assert skip in report["tests"]
+        assert report["summary"]["suppes-zanotti"] == "skipped"
+        assert report["signaling"]["verdict"] in ("no_signaling", "signaling")
+        assert len(report["summary"]["randomness"]) == 6
+        code, out, err = run_cli(capsys, "test", "sz", *argv)
+        assert (code, out, err) == (1, "", f"contexcert: error: {reason}\n")
 
+
+RHO = [[0, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]]  # the singlet
 STREAM = ["randomness", "--stream", "{stream}", "--seed", "1"]
 STATE_FILE = ["generate", "state-file", "--state", "{state}", "--observables", "{obs}"]
 GENERATED = ["--seed", "1", "--out", "{tmp}/g.csv"]
@@ -484,6 +510,17 @@ MALFORMED = {
     "full-suite policy": [
         "full-suite", "--data", "{csv}", "--scenario", "{scen}", "--seed", "1",
         "--tolerance-policy", "k-sigma:3x",
+    ],
+    # an alternating stream passed every selection under fixed:nan
+    "fixed policy nan": [*STREAM, "--policy", "fixed:nan"],
+    "k-sigma policy inf": [*STREAM, "--policy", "k-sigma:inf"],
+    "full-suite policy inf": [
+        "full-suite", "--data", "{csv}", "--scenario", "{scen}", "--seed", "1",
+        "--tolerance-policy", "k-sigma:inf",
+    ],
+    "full-suite randomness policy nan": [
+        "full-suite", "--data", "{csv}", "--scenario", "{scen}", "--seed", "1",
+        "--randomness-policy", "fixed:nan",
     ],
     "seed variable": ["randomness", "--stream", "{stream}"],
 }
@@ -505,6 +542,25 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
     assert out == ""
     assert err.startswith("contexcert: error:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "state, observables, message",
+    [
+        ({"matrix": RHO}, [{"angle": 0}], "observables JSON missing field: 'id'"),
+        ({"rho": RHO}, [{"id": "A1", "angle": 0}], "state JSON missing field: 'matrix'"),
+    ],
+    ids=["observable without id", "state without matrix"],
+)
+def test_state_file_missing_field(state, observables, message, tmp_path, capsys):
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    (tmp_path / "obs.json").write_text(json.dumps(observables))
+    code, out, err = run_cli(
+        capsys, "generate", "state-file", "--state", str(tmp_path / "state.json"),
+        "--observables", str(tmp_path / "obs.json"), "--pairs", "A1+A1:10",
+        "--seed", "1", "--out", str(tmp_path / "g.csv"),
+    )
+    assert (code, out, err) == (1, "", f"contexcert: error: {message}\n")
 
 
 def test_version(capsys):

@@ -84,9 +84,8 @@ def reference_block_codes(setting, alphabets, rows):
 def reference_csv(dataset):
     """``write_dataset_csv`` before the cell index: one f-string per row."""
     lines = [CSV_HEADER]
-    for setting, rows in dataset.blocks():
-        prefix = "+".join(setting)
-        lines.extend(f"{prefix};{','.join(map(str, row))}" for row in rows.tolist())
+    for record in dataset:
+        lines.append(f"{'+'.join(record.setting)};{','.join(map(str, record.outcomes))}")
     return "\n".join(lines) + "\n"
 
 

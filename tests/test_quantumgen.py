@@ -168,8 +168,9 @@ class TestSampleQuantum:
     def test_same_axis_always_opposite(self):
         a, b = self.pair(0.3, 0.3)
         ds = sample_quantum_dataset(singlet_state(), [((a, b), 1000)], seed=5)
-        for setting, rows in ds.blocks():
-            assert (rows[:, 0] == -rows[:, 1]).all()
+        records = list(ds)
+        assert len(records) == 1000
+        assert all(rec.outcomes[0] == -rec.outcomes[1] for rec in records)
 
     def test_tsirelson_empirical_chsh(self):
         state = singlet_state()
@@ -190,9 +191,10 @@ class TestSampleQuantum:
         a, b = self.pair(0.2, 1.4)
         ds1 = sample_quantum_dataset(singlet_state(), [((a, b), 500)], seed=77)
         ds2 = sample_quantum_dataset(singlet_state(), [((a, b), 500)], seed=77)
-        for (s1, r1), (s2, r2) in zip(ds1.blocks(), ds2.blocks()):
+        for (s1, c1), (s2, c2) in zip(ds1.code_blocks, ds2.code_blocks, strict=True):
             assert s1 == s2
-            assert (r1 == r2).all()
+            assert c1.dtype == c2.dtype
+            assert (c1 == c2).all()
 
     def test_meta_records_provenance(self):
         a, b = self.pair(0.0, 1.0)
@@ -239,9 +241,8 @@ class TestLhv:
         model = sphere_lhv_model({k: (0.0, 0.0, 1.0) for k in ("A", "B")})
         ds1 = sample_lhv_dataset(model, [(("A", "B"), 100)], seed=4)
         ds2 = sample_lhv_dataset(model, [(("A", "B"), 100)], seed=4)
-        assert [tuple(map(tuple, r)) for _, r in ds1.blocks()] == [
-            tuple(map(tuple, r)) for _, r in ds2.blocks()
-        ]
+        assert len(ds1) == 100
+        assert list(ds1) == list(ds2)
 
 
 class TestBlochObservable:
