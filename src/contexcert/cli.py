@@ -25,6 +25,7 @@ from .dataio import (
     _parse_value,
     dumps_json,
     ingest,
+    json_number,
     read_constraint_system,
     read_label_stream,
     write_dataset_csv,
@@ -143,23 +144,24 @@ def cmd_generate_lhv(args) -> None:
     _write_generated(dataset, seed, args)
 
 
-def _complex_matrix(data) -> np.ndarray:
-    """Entries are [re, im] pairs or plain numbers."""
-    return np.asarray(
-        [[complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in row] for row in data],
-        dtype=complex,
-    )
+def _complex(entry) -> complex:
+    """An [re, im] pair or a plain number."""
+    return complex(entry[0], entry[1]) if isinstance(entry, (list, tuple)) else complex(entry)
+
+
+def _complex_matrix(data, kind: str) -> np.ndarray:
+    return np.asarray([[json_number(_complex, c, kind) for c in row] for row in data], dtype=complex)
 
 
 def _load_observable(entry: dict, dim: int) -> ProjectiveObservable:
     if "angle" in entry:
         n_qubits = int(round(math.log2(dim)))
         return planar_observable(
-            entry["id"], float(entry["angle"]), qubit=int(entry.get("qubit", 0)),
-            n_qubits=n_qubits,
+            entry["id"], json_number(float, entry["angle"], "observables"),
+            qubit=json_number(int, entry.get("qubit", 0), "observables"), n_qubits=n_qubits,
         )
     projectors = {
-        int(value): _complex_matrix(matrix)
+        json_number(int, value, "observables"): _complex_matrix(matrix, "observables")
         for value, matrix in entry["projectors"].items()
     }
     return ProjectiveObservable(entry["id"], projectors)
@@ -169,7 +171,7 @@ def cmd_generate_state_file(args) -> None:
     seed = _resolve_seed(args.seed)
     state_data = json.loads(Path(args.state).read_text())
     try:
-        state = DensityState(_complex_matrix(state_data["matrix"]))
+        state = DensityState(_complex_matrix(state_data["matrix"], "state"))
     except KeyError as exc:
         raise ParseError(f"state JSON missing field: {exc}") from None
     obs_data = json.loads(Path(args.observables).read_text())

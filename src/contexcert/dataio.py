@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -55,6 +55,15 @@ def _parse_value(token: str):
         return int(token)
     except ValueError:
         return token
+
+
+def json_number(convert: Any, value: Any, kind: str) -> Any:
+    """``convert(value)`` for a value read from a ``kind`` JSON file; a value it
+    cannot read raises a :class:`ParseError` that names it."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{kind} JSON: cannot read {value!r} as a number") from None
 
 
 def read_scenario_json(path: str | Path) -> Scenario:
@@ -112,50 +121,49 @@ def _token(obs_id: str, what: str, value: Any, read: Any, separators: str) -> st
 
 
 def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
-    """Parse and validate a dataset CSV; errors carry line numbers."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    """Parse and validate a dataset CSV; errors carry line numbers.  A line's
+    meaning depends on its text alone, so each distinct line is read once, in
+    order of first appearance; a block is a run of lines with one setting."""
+    lines = Path(path).read_text().splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     if lines[0].strip() != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
-
-    # A block's distinct outcome texts are each parsed and encoded once, as they
-    # first appear, so errors name the first offending line; each line is then
-    # one pick of its text's code row.
-    blocks: list[tuple[tuple[str, ...], list[np.ndarray], list[int]]] = []
-    prefix = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(";")
-        if len(parts) != 2:
-            raise ParseError("expected exactly one ';' separator", line=lineno)
-        if parts[0] != prefix:
-            prefix = parts[0]
-            setting = tuple(tok.strip() for tok in prefix.split("+"))
-            if not blocks or blocks[-1][0] != setting:
-                blocks.append((setting, [], []))
-                seen: dict[str, int] = {}
-        _, distinct, picks = blocks[-1]
-        pick = seen.get(parts[1])
-        if pick is None:
-            outcomes = [_parse_value(tok) for tok in parts[1].split(",")]
-            if len(setting) != len(outcomes):
-                raise ParseError(
-                    f"{len(setting)} setting ids but {len(outcomes)} outcomes", line=lineno
-                )
-            try:
-                distinct.append(encode_rows(scenario, setting, [outcomes]))
-            except ContexcertError as exc:
-                raise ValidationError(str(exc), index=lineno - 2) from None
-            pick = seen[parts[1]] = len(distinct) - 1
-        picks.append(pick)
+    picks: dict[str, tuple[tuple[str, ...], int]] = {}  # line -> (setting, code row)
+    rows: dict[tuple[str, ...], list[np.ndarray]] = {}
+    for raw in dict.fromkeys(lines[1:]):
+        try:
+            read = _read_line(raw, scenario)
+        except ContexcertError as exc:
+            lineno = lines.index(raw, 1) + 1
+            if isinstance(exc, ParseError):
+                raise ParseError(str(exc), line=lineno) from None
+            raise ValidationError(str(exc), index=lineno - 2) from None
+        if read is not None:
+            setting, code_row = read
+            picks[raw] = setting, len(rows.setdefault(setting, []))
+            rows[setting].append(code_row)
+    codes = {setting: np.concatenate(code_rows) for setting, code_rows in rows.items()}
     dataset = Dataset(scenario)
-    for setting, distinct, picks in blocks:
-        dataset.code_blocks.append((setting, np.concatenate(distinct)[picks]))
+    for setting, run in groupby(filter(None, map(picks.get, lines[1:])), key=lambda pick: pick[0]):
+        dataset.code_blocks.append((setting, codes[setting][[row for _, row in run]]))
     return dataset
+
+
+def _read_line(raw: str, scenario: Scenario) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The setting and code row of one data line, None for a blank one; a
+    fault raises with no position, a ParseError where the text does not parse."""
+    line = raw.strip()
+    if not line:
+        return None
+    parts = line.split(";")
+    if len(parts) != 2:
+        raise ParseError("expected exactly one ';' separator")
+    setting = tuple(tok.strip() for tok in parts[0].split("+"))
+    outcomes = [_parse_value(tok) for tok in parts[1].split(",")]
+    if len(setting) != len(outcomes):
+        raise ParseError(f"{len(setting)} setting ids but {len(outcomes)} outcomes")
+    return setting, encode_rows(scenario, setting, [outcomes])
 
 
 def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:
@@ -181,12 +189,12 @@ def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
         tuple(a) for a in data.get("alphabets", [list(DICHOTOMIC)] * len(support))
     )
     probs = {}
-    exact = exact or bool(data.get("exact"))
+    # Fraction(str(p)) reads the decimal literal exactly (0.1 -> 1/10), which
+    # is what exact mode needs from hand-written JSON
+    number = (lambda p: Fraction(str(p))) if exact or data.get("exact") else float
     for key, p in data["probs"].items():
         cell = tuple(_parse_value(tok) for tok in str(key).split(","))
-        # Fraction(str(p)) reads the decimal literal exactly (0.1 -> 1/10),
-        # which is what exact mode needs from hand-written JSON
-        probs[cell] = Fraction(str(p)) if exact else float(p)
+        probs[cell] = json_number(number, p, "constraint")
     return ProbTable(
         support=support,
         probs=probs,

@@ -27,6 +27,7 @@ from . import _simplex
 from .belltests import ChshInput, TripleInput, chsh_max
 from .errors import ContexcertError
 from .scenario import DICHOTOMIC, ProbTable
+from .tolerances import require_nonnegative
 
 MAX_VARIABLES = 12
 FEASIBILITY_TOL = 1e-9
@@ -189,13 +190,14 @@ def jpd_feasible(
 ) -> FeasibilityResult:
     """Decide global-JPD existence for the constraint system.
 
-    ``feasibility_tol`` bounds the phase-1 objective (total residual mass)
-    below which the system counts as feasible; the signaling precheck
-    allows ``SIGNALING_PRECHECK_TOL``.  In ``exact`` mode every constraint
+    ``feasibility_tol``, finite and >= 0, bounds the phase-1 objective (total
+    residual mass) below which the system counts as feasible; the signaling
+    precheck allows ``SIGNALING_PRECHECK_TOL``.  In ``exact`` mode every constraint
     table must carry Fraction/int probabilities summing to exactly 1, and
     the decision, signaling precheck included, is tolerance-free: witness
     and certificate entries are Fractions, where float mode gives floats.
     """
+    require_nonnegative(feasibility_tol, "feasibility_tol")
     n = len(system.variables)
     if n > MAX_VARIABLES:
         raise TooManyVariables(f"{n} variables exceed the cap of {MAX_VARIABLES}")

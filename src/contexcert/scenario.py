@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import groupby, product, repeat
+from functools import cached_property, lru_cache
+from itertools import chain, groupby, product, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -214,9 +214,9 @@ def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.n
         raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
     alphabets = scenario.alphabets(setting)
     width = np.min_scalar_type(max(len(a) for a in alphabets) - 1)
-    # object dtype keeps mixed rows' types; other ndarrays give Python
+    # an object matrix keeps mixed rows' types; other ndarrays give Python
     # values through ``tolist``, a column at a time
-    values = np.asarray(rows, dtype=None if isinstance(rows, np.ndarray) else object)
+    values = rows if isinstance(rows, np.ndarray) else _object_matrix(rows, len(setting))
     if len(values) == 0:
         return np.empty((0, len(setting)), dtype=width)
     if values.ndim != 2 or values.shape[1] != len(setting):
@@ -234,17 +234,38 @@ def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.n
     return codes
 
 
+def _object_matrix(rows: Iterable, width: int) -> np.ndarray:
+    """Rows of ``width`` values as an object matrix, each value one cell:
+    ``np.asarray`` would give a column of equal-length tuples a third axis."""
+    rows = list(rows)
+    try:
+        fits = all(len(row) == width and not isinstance(row, str) for row in rows)
+    except TypeError:  # a row that is a single value
+        fits = False
+    if not fits:
+        raise ContexcertError("outcome matrix shape does not match setting")
+    cells = np.fromiter(chain.from_iterable(rows), dtype=object, count=len(rows) * width)
+    return cells.reshape(len(rows), width)
+
+
 def alphabet_codes(values: Sequence, alphabet: Sequence) -> np.ndarray:
     """Each value's position in ``alphabet``, or -1 outside it, in one dict
     pass, as the narrowest signed integers that hold them.  Values match as
     ``value in alphabet`` does: ``True`` codes as 1."""
-    index = {value: code for code, value in enumerate(alphabet)}
+    index = _alphabet_index(tuple(alphabet))
     dtype = np.min_scalar_type(-len(alphabet))
     try:
         return np.fromiter(map(index.get, values, repeat(-1)), dtype=dtype, count=len(values))
     except TypeError:  # an unhashable value lies outside every alphabet
         codes = (index.get(v, -1) if getattr(v, "__hash__", None) else -1 for v in values)
         return np.fromiter(codes, dtype=dtype, count=len(values))
+
+
+@lru_cache(maxsize=256)
+def _alphabet_index(alphabet: tuple) -> dict:
+    """Value -> code for one alphabet, built once: a reader encodes one line at
+    a time against the same few alphabets.  Callers must not change it."""
+    return {value: code for code, value in enumerate(alphabet)}
 
 
 def cell_index(codes: np.ndarray, radices: Sequence[int], columns: Iterable[int]) -> np.ndarray:

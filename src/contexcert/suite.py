@@ -48,7 +48,7 @@ from .randomtests import (
 )
 from .scenario import CorrelationSet, Dataset, NonDichotomous, correlation_set
 from .signaling import NoSharedObservables, no_signaling_test
-from .tolerances import StatisticalTolerance, TolerancePolicy, resolve_tolerance
+from .tolerances import StatisticalTolerance, TolerancePolicy, require_nonnegative, resolve_tolerance
 
 
 class MissingSettings(ContexcertError):
@@ -65,6 +65,10 @@ class RunConfig:
     delta: float = 0.01
     zero_mean_tolerance: float = 0.05
     min_retained: int = 30
+
+    def __post_init__(self) -> None:
+        require_nonnegative(self.delta, "delta")
+        require_nonnegative(self.zero_mean_tolerance, "zero_mean_tolerance")
 
     def to_json(self) -> dict:
         return {

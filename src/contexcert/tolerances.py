@@ -56,6 +56,13 @@ def parse_number(convert, token: str, context: str):
         raise ContexcertError(f"{context}: cannot read {token!r} as {convert.__name__}") from None
 
 
+def require_nonnegative(value: float, name: str) -> None:
+    """Refuse a ``value`` that is not finite and >= 0 with a
+    :class:`ContexcertError` that names it after ``name``."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ContexcertError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def parse_policy(text: str) -> TolerancePolicy:
     """Parse CLI policy syntax, e.g. ``fixed:0.01`` or ``k-sigma:3``."""
     name, sep, arg = text.partition(":")

@@ -523,6 +523,20 @@ MALFORMED = {
         "--randomness-policy", "fixed:nan",
     ],
     "seed variable": ["randomness", "--stream", "{stream}"],
+    # NaN reached the report's provenance as invalid JSON; -1 passed silently
+    "full-suite delta nan": [
+        "full-suite", "--data", "{csv}", "--scenario", "{scen}", "--seed", "1", "--delta", "nan",
+    ],
+    "full-suite zero-mean tolerance negative": [
+        "full-suite", "--data", "{csv}", "--scenario", "{scen}", "--seed", "1",
+        "--zero-mean-tolerance", "-1",
+    ],
+    "test delta inf": ["test", "sz", "--data", "{csv}", "--scenario", "{scen}", "--delta", "inf"],
+    # a feasible system was reported infeasible under nan and -1
+    "oracle tolerance nan": ["oracle", "--constraints", "{cons}", "--tolerance", "nan"],
+    "oracle tolerance negative": ["oracle", "--constraints", "{cons}", "--tolerance", "-1"],
+    "oracle tolerance inf": ["oracle", "--constraints", "{cons}", "--tolerance", "inf"],
+    "exact oracle tolerance nan": ["oracle", "--constraints", "{cons}", "--exact", "--tolerance", "nan"],
 }
 
 
@@ -536,7 +550,10 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
     obs = tmp_path / "obs.json"
     obs.write_text(json.dumps([{"id": "A1", "angle": 0}, {"id": "B1", "angle": 1, "qubit": 1}]))
     csv, scen = write_triangle(tmp_path, lhv_triangle())
-    paths = dict(stream=stream, state=state, obs=obs, csv=csv, scen=scen, tmp=tmp_path)
+    cons = tmp_path / "cons.json"
+    table = {"support": ["A", "B"], "probs": {"1,1": 0.5, "-1,-1": 0.5}}
+    cons.write_text(json.dumps({"variables": ["A", "B"], "constraints": [table]}))
+    paths = dict(stream=stream, state=state, obs=obs, csv=csv, scen=scen, cons=cons, tmp=tmp_path)
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert out == ""
@@ -549,8 +566,29 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
     [
         ({"matrix": RHO}, [{"angle": 0}], "observables JSON missing field: 'id'"),
         ({"rho": RHO}, [{"id": "A1", "angle": 0}], "state JSON missing field: 'matrix'"),
+        ({"matrix": RHO}, [{"id": "A1", "angle": "x"}], "observables JSON: cannot read 'x' as a number"),
+        (
+            {"matrix": RHO},
+            [{"id": "A1", "angle": 0, "qubit": "x"}],
+            "observables JSON: cannot read 'x' as a number",
+        ),
+        ({"matrix": RHO}, [{"id": "A1", "angle": None}], "observables JSON: cannot read None as a number"),
+        (
+            {"matrix": RHO},
+            [{"id": "A1", "projectors": {"up": np.eye(4).tolist()}}],
+            "observables JSON: cannot read 'up' as a number",
+        ),
+        ({"matrix": [["abc", 0, 0, 0], *RHO[1:]]}, [], "state JSON: cannot read 'abc' as a number"),
     ],
-    ids=["observable without id", "state without matrix"],
+    ids=[
+        "observable without id",
+        "state without matrix",
+        "angle not a number",
+        "qubit not a number",
+        "angle null",
+        "projector key not a number",
+        "state entry not a number",
+    ],
 )
 def test_state_file_missing_field(state, observables, message, tmp_path, capsys):
     (tmp_path / "state.json").write_text(json.dumps(state))

@@ -168,6 +168,15 @@ class TestConstraintSystem:
         with pytest.raises(ParseError):
             read_constraint_system(path)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_malformed_probability(self, exact, tmp_path):
+        path = tmp_path / "sys.json"
+        table = {"support": ["A"], "probs": {"1": "abc"}}
+        path.write_text(json.dumps({"variables": ["A"], "constraints": [table]}))
+        with pytest.raises(ParseError) as exc:
+            read_constraint_system(path, exact=exact)
+        assert str(exc.value) == "constraint JSON: cannot read 'abc' as a number"
+
 
 class TestLabelStream:
     def test_read(self, tmp_path):

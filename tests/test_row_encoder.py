@@ -1,6 +1,6 @@
 """Outcomes are encoded once, by ``scenario.encode_rows``.
 
-``read_dataset_csv`` encodes each distinct outcome text of a block as it first
+``read_dataset_csv`` encodes each distinct line of the file as it first
 appears and hands ``Dataset`` code blocks; ``extract_streams`` and
 ``apply_selection`` cut label streams from codes through
 ``LabelSequence.from_codes``.  The property tests keep the former paths as
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contexcert import dataio
 from contexcert.dataio import (
     CSV_HEADER,
     ParseError,
@@ -31,7 +32,7 @@ from contexcert.randomtests import (
     randomness_test,
     selection_mask,
 )
-from contexcert.scenario import Dataset, Observable, OutcomeRecord, Scenario
+from contexcert.scenario import Dataset, Observable, OutcomeRecord, Scenario, encode_rows
 from contexcert.suite import default_battery, extract_streams
 
 ALPHABETS = {
@@ -125,10 +126,31 @@ def line_text(draw, setting, row, sep=";"):
     return f"{pad}{'+'.join(setting)}{sep}{f',{pad}'.join(map(str, row))}{pad}"
 
 
+def faulty_line(draw, scenario, setting, fault):
+    """A line over ``setting`` with one fault of kind ``fault``."""
+    row = draw_row(draw, scenario, setting)
+    col = draw(st.integers(0, len(setting) - 1))
+    if fault == "value":
+        row[col] = draw(st.sampled_from(["zz", 999]))
+    elif fault == "unknown":
+        setting = setting[:col] + ("X9",) + setting[col + 1 :]
+    elif fault == "repeat":
+        obs = setting[col]
+        setting, row = (obs, obs), draw_row(draw, scenario, (obs, obs))
+    elif fault == "incompatible":
+        setting = tuple(draw(st.permutations(["O0", "O1"])))
+        row = draw_row(draw, scenario, setting)
+    elif fault == "arity":
+        row = row + [row[0]] if draw(st.booleans()) or len(row) == 1 else row[:-1]
+    return line_text(draw, setting, row, sep=" " if fault == "semicolon" else ";")
+
+
 @st.composite
-def csv_texts(draw, scenario, fault=None):
+def csv_texts(draw, scenario, faults=()):
     """A dataset CSV over ``scenario``: repeated and reordered blocks, pairs
-    and single observables, blank lines, and at most one faulty line."""
+    and single observables, blank lines, and edge-whitespace variants of a
+    line inside its block.  Each of ``faults`` puts one faulty line after the
+    one before it; the first faulty text may recur later in the file."""
     settings_pool = [tuple(sorted(s)) for s in scenario.compatible_sets]
     settings_pool += [(o.id,) for o in scenario.observables]
     lines = []
@@ -138,25 +160,20 @@ def csv_texts(draw, scenario, fault=None):
             lines.append(line_text(draw, setting, draw_row(draw, scenario, setting)))
         for _ in range(draw(st.integers(0, 1))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
-    if fault is not None:
-        data_lines = [i for i, line in enumerate(lines) if line.strip()]
-        at = draw(st.sampled_from(data_lines))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
+        edges = st.sampled_from(["", " ", "\t", "  "])
+        lines.insert(at + 1, f"{draw(edges)}{lines[at].strip()}{draw(edges)}")
+    if faults:
+        at = draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
         setting = tuple(tok.strip() for tok in lines[at].split(";")[0].split("+"))
-        row = draw_row(draw, scenario, setting)
-        col = draw(st.integers(0, len(setting) - 1))
-        if fault == "value":
-            row[col] = draw(st.sampled_from(["zz", 999]))
-        elif fault == "unknown":
-            setting = setting[:col] + ("X9",) + setting[col + 1 :]
-        elif fault == "repeat":
-            obs = setting[col]
-            setting, row = (obs, obs), draw_row(draw, scenario, (obs, obs))
-        elif fault == "incompatible":
-            setting = tuple(draw(st.permutations(["O0", "O1"])))
-            row = draw_row(draw, scenario, setting)
-        elif fault == "arity":
-            row = row + [row[0]] if draw(st.booleans()) or len(row) == 1 else row[:-1]
-        lines[at] = line_text(draw, setting, row, sep=" " if fault == "semicolon" else ";")
+        lines[at] = faulty_line(draw, scenario, setting, faults[0])
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(at + 1, len(lines))), lines[at])
+    for fault in faults[1:]:
+        setting = tuple(draw(st.permutations(draw(st.sampled_from(settings_pool)))))
+        at = draw(st.integers(at + 1, len(lines)))
+        lines.insert(at, faulty_line(draw, scenario, setting, fault))
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
@@ -185,7 +202,18 @@ class TestReaderMatchesFormerReader:
     def test_one_fault_same_error(self, csv_dir, fault, data):
         scenario = data.draw(scenarios())
         path = csv_dir / f"{fault}.csv"
-        path.write_text(data.draw(csv_texts(scenario, fault)))
+        path.write_text(data.draw(csv_texts(scenario, (fault,))))
+        expected = read_outcome(reference_read_dataset_csv, path, scenario)
+        assert not isinstance(expected, list)
+        assert read_outcome(read_dataset_csv, path, scenario) == expected
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_two_faults_first_line_wins(self, csv_dir, fault, data):
+        scenario = data.draw(scenarios())
+        path = csv_dir / f"{fault}-2.csv"
+        path.write_text(data.draw(csv_texts(scenario, (fault, data.draw(st.sampled_from(FAULTS))))))
         expected = read_outcome(reference_read_dataset_csv, path, scenario)
         assert not isinstance(expected, list)
         assert read_outcome(read_dataset_csv, path, scenario) == expected
@@ -198,6 +226,36 @@ class TestReaderMatchesFormerReader:
             read_dataset_csv(path, scenario)
         assert str(exc.value) == "record 2: unknown observable 'X9'"
         assert exc.value.index == 2
+
+    def test_each_distinct_line_is_encoded_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_encode_rows(scenario, setting, rows):
+            calls.append((setting, rows))
+            return encode_rows(scenario, setting, rows)
+
+        monkeypatch.setattr(dataio, "encode_rows", counting_encode_rows)
+        scenario = Scenario((Observable("A"), Observable("B")), ({"A", "B"},))
+        path = tmp_path / "d.csv"
+        path.write_text(
+            f"{CSV_HEADER}\nA+B;1,-1\nA;1\nA+B;1,-1\nA+B;-1,-1\nA;1\n\nA+B;1,-1\nB;1\n\nA+B;1,-1\n"
+        )
+        blocks = read_dataset_csv(path, scenario).code_blocks
+        assert calls == [
+            (("A", "B"), [[1, -1]]),
+            (("A",), [[1]]),
+            (("A", "B"), [[-1, -1]]),
+            (("B",), [[1]]),
+        ]
+        assert [(s, c.tolist()) for s, c in blocks] == [
+            (("A", "B"), [[0, 1]]),
+            (("A",), [[0]]),
+            (("A", "B"), [[0, 1], [1, 1]]),
+            (("A",), [[0]]),
+            (("A", "B"), [[0, 1]]),
+            (("B",), [[0]]),
+            (("A", "B"), [[0, 1]]),
+        ]
 
     def test_one_code_row_per_distinct_text(self, tmp_path):
         scenario = Scenario((Observable("A", ("up", "down")), Observable("B")), ({"A", "B"},))
@@ -300,6 +358,16 @@ class TestStreamsFromCodes:
         with pytest.raises(ContexcertError) as exc:
             LabelSequence.from_codes(labels, np.array(codes, dtype=np.int8))
         assert str(exc.value) == message
+
+
+def test_block_of_tuple_values_builds():
+    scenario = Scenario((Observable("A", ((1, 2), (3, 4))), Observable("B")), ({"A", "B"},))
+    dataset = Dataset.from_blocks(scenario, [(("A",), [((1, 2),), ((3, 4),)])])
+    assert [codes.tolist() for _, codes in dataset.code_blocks] == [[[0], [1]]]
+    assert list(dataset) == [OutcomeRecord(("A",), ((1, 2),)), OutcomeRecord(("A",), ((3, 4),))]
+    for rows in ([((1, 2),), ((1, 2), (3, 4))], [(1, 2)], [(1, 2), ((3, 4),)], [(1, 2, 3)]):
+        with pytest.raises(ContexcertError, match="outcome matrix shape does not match setting"):
+            Dataset.from_blocks(scenario, [(("A",), rows)])
 
 
 def test_iteration_decodes_tuple_valued_alphabets():
