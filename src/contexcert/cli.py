@@ -126,6 +126,8 @@ def _parse_axes(text: str) -> dict[str, tuple[float, float, float]]:
         if not sep:
             raise ContexcertError("--axes format is ID:angle,ID:angle,...")
         theta = parse_number(float, angle, f"--axes {item!r}")
+        if not math.isfinite(theta):
+            raise ContexcertError(f"--axes {item!r}: angle must be finite")
         axes[obs_id.strip()] = (math.sin(theta), 0.0, math.cos(theta))
     return axes
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -121,49 +121,53 @@ def _token(obs_id: str, what: str, value: Any, read: Any, separators: str) -> st
 
 
 def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
-    """Parse and validate a dataset CSV; errors carry line numbers.  A line's
-    meaning depends on its text alone, so each distinct line is read once, in
-    order of first appearance; a block is a run of lines with one setting."""
+    """Parse and validate a dataset CSV; errors carry line numbers.  Each distinct
+    line is parsed once and each setting's distinct rows are encoded in one call;
+    a block is a run of lines with one setting, cut from the lines' text numbers."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     if lines[0].strip() != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
-    picks: dict[str, tuple[tuple[str, ...], int]] = {}  # line -> (setting, code row)
-    rows: dict[tuple[str, ...], list[np.ndarray]] = {}
-    for raw in dict.fromkeys(lines[1:]):
+    number = {raw: i for i, raw in enumerate(dict.fromkeys(lines[1:]))}  # distinct text -> number
+    texts = np.fromiter(map(number.get, lines[1:]), np.min_scalar_type(len(number)), len(lines) - 1)
+    members: dict[tuple[str, ...], dict[int, list]] = {}  # setting -> {text number: outcomes}
+    faults: dict[int, ContexcertError] = {}  # text number -> what is wrong with it
+    for raw, i in number.items():
+        parts = raw.strip().split(";")
+        if parts == [""]:  # a blank line
+            continue
+        setting = tuple(tok.strip() for tok in parts[0].split("+"))
+        outcomes = [_parse_value(tok) for tok in parts[-1].split(",")]
+        if len(parts) != 2:
+            faults[i] = ParseError("expected exactly one ';' separator")
+        elif len(setting) != len(outcomes):
+            faults[i] = ParseError(f"{len(setting)} setting ids but {len(outcomes)} outcomes")
+        if faults:  # a later text can only be at fault later in the file
+            break
+        members.setdefault(setting, {})[i] = outcomes
+    setting_of = np.full(len(number), len(members), np.min_scalar_type(len(members)))  # blank: none
+    row_of = np.zeros(len(number), np.min_scalar_type(len(number)))
+    blocks = []  # (setting, code rows) of each setting
+    for k, (setting, rows) in enumerate(members.items()):
+        numbers = list(rows)
+        setting_of[numbers], row_of[numbers] = k, range(len(numbers))
         try:
-            read = _read_line(raw, scenario)
-        except ContexcertError as exc:
-            lineno = lines.index(raw, 1) + 1
-            if isinstance(exc, ParseError):
-                raise ParseError(str(exc), line=lineno) from None
-            raise ValidationError(str(exc), index=lineno - 2) from None
-        if read is not None:
-            setting, code_row = read
-            picks[raw] = setting, len(rows.setdefault(setting, []))
-            rows[setting].append(code_row)
-    codes = {setting: np.concatenate(code_rows) for setting, code_rows in rows.items()}
+            blocks.append((setting, encode_rows(scenario, setting, list(rows.values()))))
+        except ContexcertError as exc:  # a setting fault lies in the setting's first row
+            faults[numbers[getattr(exc, "row", 0)]] = exc
+    if faults:
+        first = min(faults)
+        lineno = int(np.argmax(texts == first)) + 2
+        if isinstance(faults[first], ParseError):
+            raise ParseError(str(faults[first]), line=lineno)
+        raise ValidationError(str(faults[first]), index=lineno - 2)
+    texts = texts[setting_of[texts] < len(members)]
     dataset = Dataset(scenario)
-    for setting, run in groupby(filter(None, map(picks.get, lines[1:])), key=lambda pick: pick[0]):
-        dataset.code_blocks.append((setting, codes[setting][[row for _, row in run]]))
+    for run in filter(len, np.split(texts, np.flatnonzero(np.diff(setting_of[texts])) + 1)):
+        setting, codes = blocks[setting_of[run[0]]]
+        dataset.code_blocks.append((setting, codes[row_of[run]]))
     return dataset
-
-
-def _read_line(raw: str, scenario: Scenario) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The setting and code row of one data line, None for a blank one; a
-    fault raises with no position, a ParseError where the text does not parse."""
-    line = raw.strip()
-    if not line:
-        return None
-    parts = line.split(";")
-    if len(parts) != 2:
-        raise ParseError("expected exactly one ';' separator")
-    setting = tuple(tok.strip() for tok in parts[0].split("+"))
-    outcomes = [_parse_value(tok) for tok in parts[1].split(",")]
-    if len(setting) != len(outcomes):
-        raise ParseError(f"{len(setting)} setting ids but {len(outcomes)} outcomes")
-    return setting, encode_rows(scenario, setting, [outcomes])
 
 
 def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 from typing import Any
 
@@ -155,7 +156,9 @@ def _atom_outcomes(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if ((j >> (n - 1 - i)) & 1) == 0 else -1 for i in range(n))
 
 
-def _signaling_precheck(system: MarginalConstraintSystem, tol: float, exact: bool) -> None:
+def _signaling_precheck(
+    system: MarginalConstraintSystem, supports: tuple[tuple[int, ...], ...], tol: float, exact: bool
+) -> None:
     # Direct marginal sums; building ProbTable objects here would dominate
     # the runtime of grid-scale feasibility sweeps.  Exact tables are summed
     # as integer numerators over one common denominator, which is exact and
@@ -177,10 +180,35 @@ def _signaling_precheck(system: MarginalConstraintSystem, tol: float, exact: boo
             plus_marginals.setdefault(obs, []).append(p_plus)
     for obs, values in plus_marginals.items():
         if len(values) >= 2 and max(values) - min(values) > tol:
-            raise InconsistentConstraints(
-                f"constraint tables disagree on the marginal of {obs} "
-                f"beyond {tol:g}; the system is signaling, not merely infeasible"
-            )
+            raise _disagreement(obs, tol)
+    # tables that share two or more variables must agree on their joint marginal too
+    for keep in _shared_sets(supports):
+        vectors = []  # each table's cell sums over keep, cells in product order
+        for (_, table), sup in zip(system.constraints, supports):
+            if set(keep) <= set(sup):
+                positions = [sup.index(v) for v in keep]
+                sums = dict.fromkeys(product(DICHOTOMIC, repeat=len(keep)), 0)
+                for cell, p in table.probs.items():
+                    sums[tuple(cell[i] for i in positions)] += value(p)
+                vectors.append(sums.values())
+        if any(max(cell) - min(cell) > tol for cell in zip(*vectors)):
+            raise _disagreement(",".join(system.variables[i] for i in keep), tol)
+
+
+@lru_cache(maxsize=128)
+def _shared_sets(supports: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Each set of two or more variable indices that two supports share, sorted;
+    cached, as a grid sweep asks the oracle about one support pattern many times."""
+    sets = [set(sup) for sup in supports]
+    shared = (s & t for i, s in enumerate(sets) for t in sets[i + 1 :])
+    return tuple(dict.fromkeys(tuple(sorted(common)) for common in shared if len(common) > 1))
+
+
+def _disagreement(names: str, tol: float) -> InconsistentConstraints:
+    return InconsistentConstraints(
+        f"constraint tables disagree on the marginal of {names} "
+        f"beyond {tol:g}; the system is signaling, not merely infeasible"
+    )
 
 
 def jpd_feasible(
@@ -205,12 +233,12 @@ def jpd_feasible(
         raise ContexcertError("constraint system is empty")
     if exact:
         _check_exact_tables(system)
-    _signaling_precheck(system, 0 if exact else SIGNALING_PRECHECK_TOL, exact)
-
     var_index = {v: i for i, v in enumerate(system.variables)}
     supports = tuple(
         tuple(var_index[obs] for obs in sup) for sup, _ in system.constraints
     )
+    _signaling_precheck(system, supports, 0 if exact else SIGNALING_PRECHECK_TOL, exact)
+
     A, row_cells = _lp_pattern(n, supports)
     number = Fraction if exact else float
     b = [number(1)]

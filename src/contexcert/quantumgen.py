@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
-from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario
+from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, encode_rows
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
@@ -169,6 +169,8 @@ def planar_observable(obs_id: str, angle: float, qubit: int, n_qubits: int = 2) 
     All tests in this package need only angle differences within a fixed
     measurement plane, so the Bloch vector is restricted to the x-z circle.
     """
+    if not math.isfinite(angle):
+        raise ContexcertError(f"{obs_id}: angle must be finite, got {angle!r}")
     return bloch_observable(obs_id, (math.sin(angle), 0.0, math.cos(angle)), qubit, n_qubits)
 
 
@@ -177,6 +179,8 @@ def bloch_observable(
 ) -> ProjectiveObservable:
     """Spin observable n.sigma for a unit Bloch vector n, embedded on one qubit."""
     nx, ny, nz = (float(v) for v in direction)
+    if not all(map(math.isfinite, (nx, ny, nz))):
+        raise ContexcertError(f"Bloch vector must be finite, got {(nx, ny, nz)}")
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
     if abs(norm - 1.0) > 1e-9:
         raise ContexcertError(f"Bloch vector must be unit length, got norm {norm:g}")
@@ -202,36 +206,28 @@ def singlet_correlation(angle_a: float, angle_b: float) -> float:
 
 
 def _sample_from_table(table: ProbTable, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw over outcome tuples in lexicographic alphabet order."""
-    cells = np.asarray(list(table.cells()), dtype=np.int64)
-    probs = np.asarray([float(table.prob(tuple(c))) for c in cells.tolist()])
-    cdf = np.cumsum(probs)
+    """Inverse-CDF draw over the cells in ``table.cells()`` order, as code rows:
+    a cell's number in that order is its mixed-radix :func:`cell_index`."""
+    cdf = np.cumsum([float(table.prob(cell)) for cell in table.cells()])
     idx = np.searchsorted(cdf, rng.random(count), side="right")
-    np.clip(idx, 0, len(cells) - 1, out=idx)
-    return cells[idx]
+    np.clip(idx, 0, len(cdf) - 1, out=idx)
+    radices = [len(a) for a in table.alphabets]
+    codes = np.column_stack(np.unravel_index(idx, radices))
+    return codes.astype(np.min_scalar_type(max(radices) - 1))  # the dtype encode_rows gives
 
 
 def _sample_pairs(
     pairs: Sequence[tuple[tuple[str, str], int]],
     seed: int,
-    draw: Callable[[int, int, np.random.Generator], np.ndarray],
+    draw: Callable[[Scenario, int, int, np.random.Generator], np.ndarray],
     source: str,
     **extra_meta,
 ) -> Dataset:
-    """Rows ``draw(index, count, rng)`` for each setting with a positive count,
-    ``rng`` being the setting's own stream, plus the reproduction metadata."""
+    """Code rows ``draw(scenario, index, count, rng)`` of each setting with a positive
+    count, ``rng`` being the setting's own stream, plus the reproduction metadata."""
     pairs = [(tuple(pair), count) for pair, count in pairs]
     ids = dict.fromkeys(obs for pair, _ in pairs for obs in pair)
     scenario = Scenario(tuple(Observable(i) for i in ids), tuple(frozenset(p) for p, _ in pairs))
-    blocks = []
-    for index, (pair, count) in enumerate(pairs):
-        if count < 0:
-            raise ContexcertError("sample count must be >= 0")
-        if count:
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-            )
-            blocks.append((pair, draw(index, count, rng)))
     meta = {
         "source": source,
         "prng": PRNG_NAME,
@@ -240,7 +236,16 @@ def _sample_pairs(
         **extra_meta,
         "settings": [{"pair": list(pair), "count": count} for pair, count in pairs],
     }
-    return Dataset.from_blocks(scenario, blocks, meta)
+    dataset = Dataset(scenario, (), meta)
+    for index, (pair, count) in enumerate(pairs):
+        if count < 0:
+            raise ContexcertError("sample count must be >= 0")
+        if count:
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+            )
+            dataset.code_blocks.append((pair, draw(scenario, index, count, rng)))
+    return dataset
 
 
 def sample_quantum_dataset(
@@ -250,7 +255,7 @@ def sample_quantum_dataset(
 ) -> Dataset:
     """Draw i.i.d. joint outcomes from the trace-rule table of each setting."""
 
-    def draw(index: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(scenario: Scenario, index: int, count: int, rng: np.random.Generator) -> np.ndarray:
         return _sample_from_table(born_table(state, settings[index][0]), count, rng)
 
     pairs = [((a.id, b.id), count) for (a, b), count in settings]
@@ -278,6 +283,8 @@ def sphere_lhv_model(axes: Mapping[str, Sequence[float]]) -> LhvModel:
     for obs_id, axis in axes.items():
         v = np.asarray(axis, dtype=float)
         norm = np.linalg.norm(v)
+        if not np.isfinite(norm):
+            raise ContexcertError(f"axis for {obs_id} must be finite, got {tuple(v.tolist())}")
         if norm == 0:
             raise ContexcertError(f"axis for {obs_id} must be nonzero")
         unit_axes[obs_id] = v / norm
@@ -301,13 +308,13 @@ def sample_lhv_dataset(
 ) -> Dataset:
     """One hidden draw per record, evaluated for both observables of the setting."""
 
-    def draw(index: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(scenario: Scenario, index: int, count: int, rng: np.random.Generator) -> np.ndarray:
         lambdas = model.lambda_sampler(rng, count)
-        pair = settings[index][0]
+        pair = tuple(settings[index][0])
         columns = [np.asarray(model.response(obs, lambdas), dtype=np.int64) for obs in pair]
         if any(col.shape != (count,) for col in columns):
             raise ContexcertError("response must return one value per hidden draw")
-        return np.column_stack(columns)
+        return encode_rows(scenario, pair, np.column_stack(columns))
 
     return _sample_pairs(settings, seed, draw, f"lhv:{model.description}")
 

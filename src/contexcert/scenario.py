@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, groupby, product, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -206,9 +206,9 @@ class Dataset:
 
 
 def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.ndarray:
-    """Check one block of outcome rows against ``scenario`` and return it as
-    codes: the ids must be known and distinct, the setting jointly measurable,
-    each row one value per id and each value in its id's alphabet."""
+    """Check one block of outcome rows against ``scenario`` and return it as codes:
+    the ids known and distinct, the setting jointly measurable, each row one value
+    per id in that id's alphabet (the error for a value outside names its ``row``)."""
     scenario.canonical_setting(setting)  # an unknown or repeated id raises
     if not scenario.is_compatible(setting):
         raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
@@ -229,8 +229,10 @@ def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.n
         codes[:, col] = encoded  # a -1 wraps here but raises below
         unknown += [(row, col, column[row]) for row in np.flatnonzero(encoded < 0)[:1]]
     if unknown:
-        _, col, value = min(unknown)  # the first in row-major order
-        raise ContexcertError(f"outcome {value!r} not in alphabet of {setting[col]}")
+        row, col, value = min(unknown)  # the first in row-major order
+        error = ContexcertError(f"outcome {value!r} not in alphabet of {setting[col]}")
+        error.row = row
+        raise error
     return codes
 
 
@@ -252,20 +254,13 @@ def alphabet_codes(values: Sequence, alphabet: Sequence) -> np.ndarray:
     """Each value's position in ``alphabet``, or -1 outside it, in one dict
     pass, as the narrowest signed integers that hold them.  Values match as
     ``value in alphabet`` does: ``True`` codes as 1."""
-    index = _alphabet_index(tuple(alphabet))
+    index = {value: code for code, value in enumerate(alphabet)}
     dtype = np.min_scalar_type(-len(alphabet))
     try:
         return np.fromiter(map(index.get, values, repeat(-1)), dtype=dtype, count=len(values))
     except TypeError:  # an unhashable value lies outside every alphabet
         codes = (index.get(v, -1) if getattr(v, "__hash__", None) else -1 for v in values)
         return np.fromiter(codes, dtype=dtype, count=len(values))
-
-
-@lru_cache(maxsize=256)
-def _alphabet_index(alphabet: tuple) -> dict:
-    """Value -> code for one alphabet, built once: a reader encodes one line at
-    a time against the same few alphabets.  Callers must not change it."""
-    return {value: code for code, value in enumerate(alphabet)}
 
 
 def cell_index(codes: np.ndarray, radices: Sequence[int], columns: Iterable[int]) -> np.ndarray:
@@ -309,8 +304,9 @@ class ProbTable:
         for key, value in probs.items():
             if key not in cells:
                 raise ContexcertError(f"outcome tuple {key} outside alphabet product")
-            if value < 0:
-                raise ContexcertError(f"negative probability {value!r} at {key}")
+            if not 0 <= value < math.inf:  # NaN fails both comparisons
+                kind = "negative" if value < 0 else "non-finite"
+                raise ContexcertError(f"{kind} probability {value!r} at {key}")
         total = _accurate_sum(probs.values())
         if abs(total - 1) > NORMALIZATION_TOL:
             raise ContexcertError(f"table not normalized: sum = {total!r}")

@@ -504,6 +504,12 @@ MALFORMED = {
     "fixed policy value": [*STREAM, "--policy", "fixed:"],
     "angles": ["generate", "singlet", "--angles", "0,1,2,x", "--n", "10", *GENERATED],
     "axes": ["generate", "lhv", "--axes", "A1:0,A2:x,B1:0,B2:1", "--n", "10", *GENERATED],
+    # a NaN angle sampled a dataset from NaN probabilities (the lhv A2 records all
+    # read -1), and an infinite one ended in a ValueError traceback
+    "angles nan": ["generate", "singlet", "--angles", "0,nan,0.7,2.3", "--n", "10", *GENERATED],
+    "axes nan": ["generate", "lhv", "--axes", "A1:0,A2:nan,B1:0.7,B2:2.3", "--n", "10", *GENERATED],
+    "angles inf": ["generate", "singlet", "--angles", "0,inf,0.7,2.3", "--n", "10", *GENERATED],
+    "axes inf": ["generate", "lhv", "--axes", "A1:0,A2:-inf,B1:0.7,B2:2.3", "--n", "10", *GENERATED],
     "pairs count": [*STATE_FILE, "--pairs", "A1+B1:ten", *GENERATED],
     "pairs id": [*STATE_FILE, "--pairs", "A1+Z9:10", *GENERATED],
     "pairs without partner": [*STATE_FILE, "--pairs", "A1:10", *GENERATED],
@@ -579,6 +585,8 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
             "observables JSON: cannot read 'up' as a number",
         ),
         ({"matrix": [["abc", 0, 0, 0], *RHO[1:]]}, [], "state JSON: cannot read 'abc' as a number"),
+        ({"matrix": RHO}, [{"id": "A1", "angle": "nan"}], "A1: angle must be finite, got nan"),
+        ({"matrix": RHO}, [{"id": "A1", "angle": "inf"}], "A1: angle must be finite, got inf"),
     ],
     ids=[
         "observable without id",
@@ -588,6 +596,8 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
         "angle null",
         "projector key not a number",
         "state entry not a number",
+        "angle nan",
+        "angle inf",
     ],
 )
 def test_state_file_missing_field(state, observables, message, tmp_path, capsys):
@@ -599,6 +609,16 @@ def test_state_file_missing_field(state, observables, message, tmp_path, capsys)
         "--seed", "1", "--out", str(tmp_path / "g.csv"),
     )
     assert (code, out, err) == (1, "", f"contexcert: error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_oracle_refuses_a_non_finite_probability(value, tmp_path, capsys):
+    # a NaN cell used to pass the table checks and reach the report as "slack": NaN
+    table = {"support": ["A", "B"], "probs": {"1,1": value, "-1,-1": 0.5}}
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps({"variables": ["A", "B"], "constraints": [table]}))
+    code, out, err = run_cli(capsys, "oracle", "--constraints", str(cons))
+    assert (code, out, err) == (1, "", f"contexcert: error: non-finite probability {value} at (1, 1)\n")
 
 
 def test_version(capsys):

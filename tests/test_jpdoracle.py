@@ -178,6 +178,31 @@ class TestJpdFeasible:
         # float mode keeps its tolerances: the residual 1e-10 counts as feasible
         assert jpd_feasible(system).feasible
 
+    @staticmethod
+    def _triple_tables(corr_abc, corr_abd):
+        """Tables on (A,B,C) and (A,B,D): uniform single marginals, the given
+        A-B correlations, C and D independent of A and B."""
+        def table(support, corr):
+            probs = {cell: (1 + corr * cell[0] * cell[1]) / 8 for cell in product((1, -1), repeat=3)}
+            return support, ProbTable(support, probs, ((1, -1),) * 3)
+
+        return MarginalConstraintSystem(
+            ("A", "B", "C", "D"), (table(("A", "B", "C"), corr_abc), table(("A", "B", "D"), corr_abd))
+        )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_precheck_compares_a_shared_pair_marginal(self, exact):
+        half = Fraction(1, 2) if exact else 0.5
+        with pytest.raises(InconsistentConstraints, match="marginal of A,B beyond"):
+            jpd_feasible(self._triple_tables(half, -half), exact=exact)
+
+    def test_shared_pair_marginal_within_float_tolerance(self):
+        # the A-B marginals differ by 2.5e-11 per cell, below the float precheck's 1e-9
+        assert jpd_feasible(self._triple_tables(0.5, 0.5 + 1e-10)).feasible
+        eps = Fraction(1, 10**10)
+        with pytest.raises(InconsistentConstraints, match="marginal of A,B"):
+            jpd_feasible(self._triple_tables(Fraction(1, 2), Fraction(1, 2) + eps), exact=True)
+
     def test_too_many_variables(self):
         ids = tuple(f"V{i}" for i in range(13))
         table = pair_table_from_correlation((ids[0], ids[1]), 0.0)

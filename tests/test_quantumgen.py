@@ -26,7 +26,7 @@ from contexcert.quantumgen import (
     singlet_state,
     sphere_lhv_model,
 )
-from contexcert.quantumgen import _sample_from_table
+from contexcert import quantumgen
 from contexcert.scenario import (
     Dataset,
     Observable,
@@ -237,6 +237,11 @@ class TestLhv:
             inp = ChshInput(corr, ("A1", "A2"), ("B1", "B2"))
             assert chsh_max(inp) <= 2 + sigma3
 
+    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 1.0), (0.0, 0.0, math.inf), (0.0, 0.0, 0.0)])
+    def test_sphere_axis_must_be_finite_and_nonzero(self, axis):
+        with pytest.raises(ContexcertError, match="axis for A2 must be"):
+            sphere_lhv_model({"A1": (0.0, 0.0, 1.0), "A2": axis})
+
     def test_reproducible(self):
         model = sphere_lhv_model({k: (0.0, 0.0, 1.0) for k in ("A", "B")})
         ds1 = sample_lhv_dataset(model, [(("A", "B"), 100)], seed=4)
@@ -249,6 +254,16 @@ class TestBlochObservable:
     def test_must_be_unit(self):
         with pytest.raises(ContexcertError):
             bloch_observable("A", (1.0, 1.0, 0.0), qubit=0)
+
+    @pytest.mark.parametrize("direction", [(math.nan, 0.0, 1.0), (0.0, math.inf, 0.0)])
+    def test_must_be_finite(self, direction):
+        with pytest.raises(ContexcertError, match="Bloch vector must be finite"):
+            bloch_observable("A", direction, qubit=0)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_planar_angle_must_be_finite(self, angle):
+        with pytest.raises(ContexcertError, match="A: angle must be finite"):
+            planar_observable("A", angle, qubit=0)
 
     def test_general_direction(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -278,6 +293,16 @@ def _reference_scenario(pair_ids):
     )
 
 
+def reference_sample_from_table(table, count, rng):
+    """The former sampler: inverse-CDF draw over outcome tuples, as values."""
+    cells = np.asarray(list(table.cells()), dtype=np.int64)
+    probs = np.asarray([float(table.prob(tuple(c))) for c in cells.tolist()])
+    cdf = np.cumsum(probs)
+    idx = np.searchsorted(cdf, rng.random(count), side="right")
+    np.clip(idx, 0, len(cells) - 1, out=idx)
+    return cells[idx]
+
+
 def reference_sample_quantum_dataset(state, settings, seed):
     pair_ids = [(a.id, b.id) for (a, b), _ in settings]
     scenario = _reference_scenario(pair_ids)
@@ -289,7 +314,7 @@ def reference_sample_quantum_dataset(state, settings, seed):
             continue
         table = born_table(state, (obs_a, obs_b))
         rng = _reference_rng(seed, index)
-        blocks.append(((obs_a.id, obs_b.id), _sample_from_table(table, count, rng)))
+        blocks.append(((obs_a.id, obs_b.id), reference_sample_from_table(table, count, rng)))
     meta = {
         "source": "quantum",
         "prng": PRNG_NAME,
@@ -382,3 +407,19 @@ class TestSamplersShareOneLoop:
         model = LhvModel(lambda rng, n: rng.random(n), lambda obs, lam: np.ones(2, dtype=np.int64))
         with pytest.raises(ContexcertError, match="one value per hidden draw"):
             sample_lhv_dataset(model, [(("A", "B"), 3)], seed=1)
+
+    def test_lhv_response_values_checked(self):
+        model = LhvModel(lambda rng, n: rng.random(n), lambda obs, lam: np.zeros(len(lam), dtype=int))
+        with pytest.raises(ContexcertError, match="outcome 0 not in alphabet of A"):
+            sample_lhv_dataset(model, [(("A", "B"), 3)], seed=1)
+
+    def test_quantum_sampler_hands_over_the_codes_it_drew(self, monkeypatch):
+        def no_encode(*args):
+            raise AssertionError("encode_rows called")
+
+        monkeypatch.setattr(quantumgen, "encode_rows", no_encode)
+        monkeypatch.setattr("contexcert.scenario.encode_rows", no_encode)  # from_blocks
+        obs = [planar_observable("A", 0.0, qubit=0), planar_observable("B", 0.7, qubit=1)]
+        ds = sample_quantum_dataset(singlet_state(), [((obs[0], obs[1]), 50)], seed=4)
+        [(setting, codes)] = ds.code_blocks
+        assert setting == ("A", "B") and codes.dtype == np.uint8 and codes.shape == (50, 2)

@@ -1,13 +1,15 @@
 """Outcomes are encoded once, by ``scenario.encode_rows``.
 
-``read_dataset_csv`` encodes each distinct line of the file as it first
-appears and hands ``Dataset`` code blocks; ``extract_streams`` and
+``read_dataset_csv`` encodes each setting's distinct rows in one call and
+hands ``Dataset`` code blocks; ``extract_streams`` and
 ``apply_selection`` cut label streams from codes through
 ``LabelSequence.from_codes``.  The property tests keep the former paths as
 their references: the reader that parsed values and then called
 ``Dataset.from_blocks``, and label streams built from values.
 """
 
+import random
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +37,12 @@ from contexcert.randomtests import (
 from contexcert.scenario import Dataset, Observable, OutcomeRecord, Scenario, encode_rows
 from contexcert.suite import default_battery, extract_streams
 
+WIDE = tuple(range(-150, 150))  # 300 values: two-byte codes
 ALPHABETS = {
     "pm": st.just((1, -1)),
     "str": st.lists(st.sampled_from(["up", "down", "a", "x", "left"]), min_size=1, unique=True),
     "mixed": st.lists(st.sampled_from([0, "x", 1, "z", -1, 2]), min_size=1, unique=True),
-    "wide": st.just(tuple(range(-150, 150))),  # 300 values: two-byte codes
+    "wide": st.just(WIDE),
 }
 FAULTS = ("value", "unknown", "repeat", "incompatible", "arity", "semicolon")
 
@@ -218,6 +221,29 @@ class TestReaderMatchesFormerReader:
         assert not isinstance(expected, list)
         assert read_outcome(read_dataset_csv, path, scenario) == expected
 
+    @pytest.mark.parametrize("distinct", [300, 70_000])  # past 255 and past 65,535 texts
+    @pytest.mark.parametrize(
+        "faults",
+        [(), (("value", 0.9),), (("arity", 0.5), ("value", 0.8)), (("value", 0.6), ("semicolon", 0.7))],
+        ids=["valid", "value", "arity-first", "value-first"],
+    )
+    def test_many_distinct_lines_same_outcome(self, csv_dir, distinct, faults):
+        scenario = Scenario(
+            (Observable("A", WIDE), Observable("B", WIDE), Observable("C")), ({"A", "B"}, {"B", "C"})
+        )
+        rnd = random.Random(distinct)
+        lines = [f"A+B;{a},{b}" for a, b in rnd.sample(list(product(WIDE, WIDE)), distinct)]
+        lines += ["B+C;5,1", "", "C+B;-1,-150", " A+B;0,0"]
+        lines += rnd.choices(lines, k=distinct // 2)
+        for kind, at in faults:
+            bad = {"value": "A+B;0,999", "arity": "A+B;0", "semicolon": "A+B 0,0"}[kind]
+            lines.insert(int(at * len(lines)), bad)
+        path = csv_dir / "many.csv"
+        path.write_text("\n".join([CSV_HEADER, *lines]) + "\n")
+        expected = read_outcome(reference_read_dataset_csv, path, scenario)
+        assert isinstance(expected, list) == (not faults)
+        assert read_outcome(read_dataset_csv, path, scenario) == expected
+
     def test_unknown_id_is_named_before_compatibility(self, tmp_path):
         scenario = Scenario((Observable("A1"), Observable("B1")), ({"A1", "B1"},))
         path = tmp_path / "d.csv"
@@ -241,10 +267,10 @@ class TestReaderMatchesFormerReader:
             f"{CSV_HEADER}\nA+B;1,-1\nA;1\nA+B;1,-1\nA+B;-1,-1\nA;1\n\nA+B;1,-1\nB;1\n\nA+B;1,-1\n"
         )
         blocks = read_dataset_csv(path, scenario).code_blocks
+        # one call per setting, its distinct rows in order of first appearance
         assert calls == [
-            (("A", "B"), [[1, -1]]),
+            (("A", "B"), [[1, -1], [-1, -1]]),
             (("A",), [[1]]),
-            (("A", "B"), [[-1, -1]]),
             (("B",), [[1]]),
         ]
         assert [(s, c.tolist()) for s, c in blocks] == [

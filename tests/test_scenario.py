@@ -316,6 +316,12 @@ class TestTableInvariants:
         with pytest.raises(ContexcertError):
             ProbTable(("A",), {(1,): 1.2, (-1,): -0.2}, ((1, -1),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        kind = "negative" if value < 0 else "non-finite"
+        with pytest.raises(ContexcertError, match=f"^{kind} probability {value!r} at \\(1,\\)$"):
+            ProbTable(("A",), {(1,): value, (-1,): 0.5}, ((1, -1),))
+
     def test_estimate_then_marginalize_equals_projected_counts(self):
         s = Scenario(
             observables=(Observable("A"), Observable("B"), Observable("C")),
