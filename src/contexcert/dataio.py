@@ -187,8 +187,17 @@ def read_label_stream(path: str | Path, labels: Iterable | None = None) -> Label
     return LabelSequence.from_values(values, tuple(labels) if labels is not None else None)
 
 
+def _json_field(data: dict, field: str, kind: type, what: str) -> Any:
+    """``data[field]`` if it is a ``kind``, else a :class:`ParseError` naming the
+    field: ``tuple`` would split a string into one-letter ids."""
+    value = data[field]
+    if not isinstance(value, kind):
+        raise ParseError(f"constraint JSON: {field!r} must be {what}, not {value!r}")
+    return value
+
+
 def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
-    support = tuple(data["support"])
+    support = tuple(_json_field(data, "support", list, "a list of variable ids"))
     alphabets = tuple(
         tuple(a) for a in data.get("alphabets", [list(DICHOTOMIC)] * len(support))
     )
@@ -196,7 +205,7 @@ def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
     # Fraction(str(p)) reads the decimal literal exactly (0.1 -> 1/10), which
     # is what exact mode needs from hand-written JSON
     number = (lambda p: Fraction(str(p))) if exact or data.get("exact") else float
-    for key, p in data["probs"].items():
+    for key, p in _json_field(data, "probs", dict, "an object of cell probabilities").items():
         cell = tuple(_parse_value(tok) for tok in str(key).split(","))
         probs[cell] = json_number(number, p, "constraint")
     return ProbTable(
@@ -214,7 +223,7 @@ def read_constraint_system(path: str | Path, exact: bool = False) -> MarginalCon
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid constraint JSON: {exc}") from None
     try:
-        variables = tuple(data["variables"])
+        variables = tuple(_json_field(data, "variables", list, "a list of variable ids"))
         constraints = []
         for entry in data["constraints"]:
             table = probtable_from_json(entry, exact=exact)

@@ -5,7 +5,9 @@ observables, decide whether one global distribution over all 2^n outcome
 atoms marginalizes to every table.  This is a pure linear feasibility
 problem; it is solved directly (phase-1 simplex, no external solver) so that
 the inequality tests elsewhere in the package can be cross-validated against
-an independent ground truth.
+an independent ground truth.  Atoms and table cells are numbered as
+``scenario.cell_index`` numbers codes, +1 being code 0, and tables must
+agree on the marginal of every variable set they share before the LP runs.
 
 A feasible system yields a witness table; an infeasible one yields a
 separating linear functional over the constraint cells: the functional's
@@ -15,10 +17,11 @@ by the reported slack.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import lcm
 from typing import Any
 
@@ -27,7 +30,7 @@ import numpy as np
 from . import _simplex
 from .belltests import ChshInput, TripleInput, chsh_max
 from .errors import ContexcertError
-from .scenario import DICHOTOMIC, ProbTable
+from .scenario import DICHOTOMIC, ProbTable, cell_index
 from .tolerances import require_nonnegative
 
 MAX_VARIABLES = 12
@@ -126,89 +129,46 @@ class FeasibilityResult:
 
 @lru_cache(maxsize=128)
 def _lp_pattern(n: int, supports: tuple[tuple[int, ...], ...]):
-    """Constraint matrix skeleton for n variables and the given supports.
-
-    Row 0 is normalization; every further row fixes one constraint cell.
-    Atom j assigns +1 to variable i when bit (n-1-i) of j is 0.
-    """
-    n_atoms = 1 << n
-    atoms = np.arange(n_atoms)
-    bits = (atoms[None, :] >> (n - 1 - np.arange(n)[:, None])) & 1  # (n, n_atoms)
-    rows = [np.ones(n_atoms)]
+    """The fixed parts of the LP: ``A`` (row 0 normalization, then a row per
+    table cell), its rows as ints, each row's (table, cell), the atoms, and the
+    marginal check.  That check keeps one sum per shared set, set cell and
+    table with the set; ``plan`` pairs each sum with each cell, numbered through
+    all tables, that adds into it, and ``shared`` holds each set's (set, start,
+    stop, tables): between start and stop each set cell has ``tables``
+    consecutive sums.  The shared sets are each variable in two or more tables,
+    then each intersection of two supports with two or more variables, sorted."""
+    codes = np.array(list(product(range(2), repeat=n)))  # atom j is row j
+    rows = [np.ones(len(codes))]
     row_cells: list[tuple[int, tuple] | None] = [None]
     for ci, sup in enumerate(supports):
-        k = len(sup)
-        cell_idx = np.zeros(n_atoms, dtype=np.int64)
-        for i in sup:
-            cell_idx = (cell_idx << 1) | bits[i]
+        cells = list(product(DICHOTOMIC, repeat=len(sup)))
         # The last cell of each table is implied by normalization plus the
         # other cells, so its row is omitted to keep the tableau small.
-        for c in range((1 << k) - 1):
-            rows.append((cell_idx == c).astype(np.float64))
-            cell = tuple(1 if ((c >> (k - 1 - t)) & 1) == 0 else -1 for t in range(k))
-            row_cells.append((ci, cell))
-    A = np.asarray(rows)
+        atom_cells = cell_index(codes, (2,) * len(sup), sup)
+        rows += [atom_cells == c for c in range(len(cells) - 1)]
+        row_cells += [(ci, cell) for cell in cells[:-1]]
+    A = np.asarray(rows, dtype=np.float64)
     A.setflags(write=False)
-    return A, tuple(row_cells)
 
-
-def _atom_outcomes(n: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if ((j >> (n - 1 - i)) & 1) == 0 else -1 for i in range(n))
-
-
-def _signaling_precheck(
-    system: MarginalConstraintSystem, supports: tuple[tuple[int, ...], ...], tol: float, exact: bool
-) -> None:
-    # Direct marginal sums; building ProbTable objects here would dominate
-    # the runtime of grid-scale feasibility sweeps.  Exact tables are summed
-    # as integer numerators over one common denominator, which is exact and
-    # avoids a gcd per Fraction addition.
-    if exact:
-        denominator = lcm(
-            *(p.denominator for _, table in system.constraints for p in table.probs.values())
-        )
-        value = lambda p: p.numerator * (denominator // p.denominator)
-    else:
-        value = float
-    plus_marginals: dict[str, list] = {}
-    for sup, table in system.constraints:
-        for pos, obs in enumerate(sup):
-            p_plus = 0
-            for cell, p in table.probs.items():
-                if cell[pos] == 1:
-                    p_plus += value(p)
-            plus_marginals.setdefault(obs, []).append(p_plus)
-    for obs, values in plus_marginals.items():
-        if len(values) >= 2 and max(values) - min(values) > tol:
-            raise _disagreement(obs, tol)
-    # tables that share two or more variables must agree on their joint marginal too
-    for keep in _shared_sets(supports):
-        vectors = []  # each table's cell sums over keep, cells in product order
-        for (_, table), sup in zip(system.constraints, supports):
-            if set(keep) <= set(sup):
-                positions = [sup.index(v) for v in keep]
-                sums = dict.fromkeys(product(DICHOTOMIC, repeat=len(keep)), 0)
-                for cell, p in table.probs.items():
-                    sums[tuple(cell[i] for i in positions)] += value(p)
-                vectors.append(sums.values())
-        if any(max(cell) - min(cell) > tol for cell in zip(*vectors)):
-            raise _disagreement(",".join(system.variables[i] for i in keep), tol)
-
-
-@lru_cache(maxsize=128)
-def _shared_sets(supports: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Each set of two or more variable indices that two supports share, sorted;
-    cached, as a grid sweep asks the oracle about one support pattern many times."""
+    first_cell = list(accumulate((2 ** len(sup) for sup in supports), initial=0))
+    counts = Counter(i for sup in supports for i in sup)
     sets = [set(sup) for sup in supports]
-    shared = (s & t for i, s in enumerate(sets) for t in sets[i + 1 :])
-    return tuple(dict.fromkeys(tuple(sorted(common)) for common in shared if len(common) > 1))
-
-
-def _disagreement(names: str, tol: float) -> InconsistentConstraints:
-    return InconsistentConstraints(
-        f"constraint tables disagree on the marginal of {names} "
-        f"beyond {tol:g}; the system is signaling, not merely infeasible"
-    )
+    common = (tuple(sorted(s & t)) for k, s in enumerate(sets) for t in sets[k + 1 :])
+    singles = [(i,) for i in counts if counts[i] > 1]
+    plan, shared, start = [], [], 0
+    for keep in singles + list(dict.fromkeys(c for c in common if len(c) > 1)):
+        tables = [ci for ci, sup in enumerate(supports) if set(keep) <= set(sup)]
+        for t, ci in enumerate(tables):
+            table_codes = np.array(list(product(range(2), repeat=len(supports[ci]))))
+            marginal = cell_index(table_codes, (2,) * len(keep), map(supports[ci].index, keep))
+            set_cells = enumerate(marginal.tolist())
+            plan += [(start + m * len(tables) + t, first_cell[ci] + c) for c, m in set_cells]
+        stop = start + 2 ** len(keep) * len(tables)
+        shared.append((keep, start, stop, len(tables)))
+        start = stop
+    A_int = tuple(map(tuple, A.astype(np.int64).tolist()))
+    atoms = tuple(product(DICHOTOMIC, repeat=n))
+    return A, A_int, tuple(row_cells), atoms, start, tuple(plan), tuple(shared)
 
 
 def jpd_feasible(
@@ -219,10 +179,11 @@ def jpd_feasible(
     """Decide global-JPD existence for the constraint system.
 
     ``feasibility_tol``, finite and >= 0, bounds the phase-1 objective (total
-    residual mass) below which the system counts as feasible; the signaling
-    precheck allows ``SIGNALING_PRECHECK_TOL``.  In ``exact`` mode every constraint
-    table must carry Fraction/int probabilities summing to exactly 1, and
-    the decision, signaling precheck included, is tolerance-free: witness
+    residual mass) below which the system counts as feasible.  Before the LP,
+    tables must agree on the marginal of every variable set they share, to
+    within ``SIGNALING_PRECHECK_TOL`` per cell.  In ``exact`` mode every
+    constraint table must carry Fraction/int probabilities summing to exactly
+    1, and the decision, marginal check included, is tolerance-free: witness
     and certificate entries are Fractions, where float mode gives floats.
     """
     require_nonnegative(feasibility_tol, "feasibility_tol")
@@ -231,22 +192,51 @@ def jpd_feasible(
         raise TooManyVariables(f"{n} variables exceed the cap of {MAX_VARIABLES}")
     if n == 0 or not system.constraints:
         raise ContexcertError("constraint system is empty")
-    if exact:
-        _check_exact_tables(system)
     var_index = {v: i for i, v in enumerate(system.variables)}
-    supports = tuple(
-        tuple(var_index[obs] for obs in sup) for sup, _ in system.constraints
-    )
-    _signaling_precheck(system, supports, 0 if exact else SIGNALING_PRECHECK_TOL, exact)
+    supports = tuple(tuple(var_index[obs] for obs in sup) for sup, _ in system.constraints)
+    A, A_int, row_cells, atoms, n_sums, plan, shared = _lp_pattern(n, supports)
 
-    A, row_cells = _lp_pattern(n, supports)
-    number = Fraction if exact else float
-    b = [number(1)]
-    for ci, cell in row_cells[1:]:
-        b.append(number(system.constraints[ci][1].prob(cell)))
-
+    # each table read once, in cell-number order
+    probs = [
+        list(map(table.probs.get, product(DICHOTOMIC, repeat=len(sup)), repeat(0)))
+        for sup, table in system.constraints
+    ]
     if exact:
-        A_int = np.asarray(A, dtype=np.int64).tolist()
+        for ci, ((sup, _), cells) in enumerate(zip(system.constraints, probs)):
+            if not all(isinstance(p, (Fraction, int)) for p in cells):
+                raise ContexcertError("exact mode requires Fraction-valued tables")
+            # _lp_pattern drops each table's last cell as implied by
+            # normalization, which holds only up to NORMALIZATION_TOL unless
+            # the sum is exactly 1
+            total = sum(cells)
+            if total != 1:
+                raise ContexcertError(
+                    f"exact mode requires each table to sum to exactly 1; "
+                    f"constraint {ci} over {','.join(sup)} sums to {total}"
+                )
+        # marginals summed as integer numerators over one common denominator,
+        # which is exact and avoids a gcd per Fraction addition
+        denominator = lcm(*(p.denominator for cells in probs for p in cells))
+        weights = [p.numerator * (denominator // p.denominator) for cells in probs for p in cells]
+        number, tol = Fraction, 0
+    else:
+        weights = [float(p) for cells in probs for p in cells]
+        number, tol = float, SIGNALING_PRECHECK_TOL
+    sums = [0] * n_sums
+    for k, i in plan:
+        sums[k] += weights[i]
+    for keep, start, stop, tables in shared:
+        for m in range(start, stop, tables):
+            cell = sums[m : m + tables]
+            if max(cell) - min(cell) > tol:
+                names = ",".join(system.variables[i] for i in keep)
+                raise InconsistentConstraints(
+                    f"constraint tables disagree on the marginal of {names} "
+                    f"beyond {tol:g}; the system is signaling, not merely infeasible"
+                )
+
+    b = [number(1)] + [number(p) for cells in probs for p in cells[:-1]]
+    if exact:
         objective, x, y = _simplex.phase1_exact(A_int, b)
         feasible = objective == 0
     else:
@@ -256,8 +246,9 @@ def jpd_feasible(
         x = x.tolist()
 
     if feasible:
-        probs = {_atom_outcomes(n, j): x[j] for j in range(1 << n) if x[j] > 0}
-        witness = ProbTable(system.variables, probs, (DICHOTOMIC,) * n)
+        witness = ProbTable(
+            system.variables, {atom: p for atom, p in zip(atoms, x) if p > 0}, (DICHOTOMIC,) * n
+        )
         return FeasibilityResult("feasible", witness, None, slack=0.0)
 
     if exact:
@@ -275,27 +266,11 @@ def jpd_feasible(
         y = y.tolist()
     certificate = InfeasibilityCertificate(
         normalization_coeff=y[0],
-        cell_coeffs=tuple(
-            (rc[0], rc[1], y[r]) for r, rc in enumerate(row_cells) if rc is not None
-        ),
+        cell_coeffs=tuple((ci, cell, yr) for (ci, cell), yr in zip(row_cells[1:], y[1:])),
         value=value,
         bound=bound,
     )
     return FeasibilityResult("infeasible", None, certificate, slack=certificate.slack)
-
-
-def _check_exact_tables(system: MarginalConstraintSystem) -> None:
-    for ci, (sup, table) in enumerate(system.constraints):
-        if not table.is_exact:
-            raise ContexcertError("exact mode requires Fraction-valued tables")
-        # _lp_pattern drops each table's last cell as implied by normalization,
-        # which holds only up to NORMALIZATION_TOL unless the sum is exactly 1
-        total = sum(table.probs.values())
-        if total != 1:
-            raise ContexcertError(
-                f"exact mode requires each table to sum to exactly 1; "
-                f"constraint {ci} over {','.join(sup)} sums to {total}"
-            )
 
 
 def pair_table_from_correlation(

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
-from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, encode_rows
+from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, code_dtype, encode_rows
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
@@ -213,7 +213,7 @@ def _sample_from_table(table: ProbTable, count: int, rng: np.random.Generator) -
     np.clip(idx, 0, len(cdf) - 1, out=idx)
     radices = [len(a) for a in table.alphabets]
     codes = np.column_stack(np.unravel_index(idx, radices))
-    return codes.astype(np.min_scalar_type(max(radices) - 1))  # the dtype encode_rows gives
+    return codes.astype(code_dtype(radices))
 
 
 def _sample_pairs(

@@ -213,7 +213,7 @@ def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.n
     if not scenario.is_compatible(setting):
         raise IncompatibleSetting(f"setting {setting} is not jointly measurable")
     alphabets = scenario.alphabets(setting)
-    width = np.min_scalar_type(max(len(a) for a in alphabets) - 1)
+    width = code_dtype(map(len, alphabets))
     # an object matrix keeps mixed rows' types; other ndarrays give Python
     # values through ``tolist``, a column at a time
     values = rows if isinstance(rows, np.ndarray) else _object_matrix(rows, len(setting))
@@ -234,6 +234,12 @@ def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.n
         error.row = row
         raise error
     return codes
+
+
+def code_dtype(radices: Iterable[int]) -> np.dtype:
+    """The dtype of a code matrix whose columns have these alphabet sizes:
+    the narrowest unsigned integer that holds the largest code."""
+    return np.min_scalar_type(max(radices) - 1)
 
 
 def _object_matrix(rows: Iterable, width: int) -> np.ndarray:

@@ -621,6 +621,27 @@ def test_oracle_refuses_a_non_finite_probability(value, tmp_path, capsys):
     assert (code, out, err) == (1, "", f"contexcert: error: non-finite probability {value} at (1, 1)\n")
 
 
+@pytest.mark.parametrize(
+    "variables, table, message",
+    [
+        # a list of probabilities used to end in an AttributeError traceback
+        (["A", "B"], {"support": ["A", "B"], "probs": [0.5, 0.5]},
+         "'probs' must be an object of cell probabilities, not [0.5, 0.5]"),
+        # a string used to be split into the variables A and B
+        (["A", "B"], {"support": "AB", "probs": {"1,1": 0.5, "-1,-1": 0.5}},
+         "'support' must be a list of variable ids, not 'AB'"),
+        ("AB", {"support": ["A", "B"], "probs": {"1,1": 0.5, "-1,-1": 0.5}},
+         "'variables' must be a list of variable ids, not 'AB'"),
+    ],
+    ids=["probs a list", "support a string", "variables a string"],
+)
+def test_oracle_refuses_a_field_of_the_wrong_type(variables, table, message, tmp_path, capsys):
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps({"variables": variables, "constraints": [table]}))
+    code, out, err = run_cli(capsys, "oracle", "--constraints", str(cons))
+    assert (code, out, err) == (1, "", f"contexcert: error: constraint JSON: {message}\n")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

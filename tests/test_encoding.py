@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 from contexcert.dataio import CSV_HEADER, read_dataset_csv, write_dataset_csv
 from contexcert.errors import ContexcertError
 from contexcert.randomtests import LabelSequence, PlaceSelection, UnknownLabel, selection_mask
-from contexcert.scenario import Dataset, Observable, Scenario, alphabet_codes, cell_index
+from contexcert.scenario import (
+    Dataset,
+    Observable,
+    Scenario,
+    alphabet_codes,
+    cell_index,
+    code_dtype,
+    encode_rows,
+)
 
 INTS = st.integers(-3, 3)
 TEXTS = st.sampled_from(["a", "b", "up", "x", "0", "1", "-1"])
@@ -103,6 +111,14 @@ class TestAlphabetCodes:
         codes = alphabet_codes([size - 1, size], alphabet)
         assert codes.dtype == dtype
         assert codes.tolist() == [size - 1, -1]
+
+    @pytest.mark.parametrize("radices, dtype", [((2, 2), np.uint8), ((2, 256), np.uint8), ((257, 2), np.uint16)])
+    def test_code_dtype_holds_the_largest_code(self, radices, dtype):
+        assert code_dtype(radices) == dtype
+        alphabets = [tuple(range(r)) for r in radices]
+        scenario = Scenario((Observable("X", alphabets[0]), Observable("Y", alphabets[1])), ({"X", "Y"},))
+        codes = encode_rows(scenario, ("X", "Y"), [(radices[0] - 1, radices[1] - 1)])
+        assert codes.dtype == dtype and codes.tolist() == [[radices[0] - 1, radices[1] - 1]]
 
     def test_numpy_array_does_not_stringify_mixed_values(self):
         # np.asarray([0, "x"]) would turn 0 into "0"; the encoder never does

@@ -5,10 +5,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contexcert.belltests import ChshInput, TripleInput, ZeroMeanViolated, chsh_max, sz_test
 from contexcert.errors import ContexcertError
 from contexcert.jpdoracle import (
+    SIGNALING_PRECHECK_TOL,
     InconsistentConstraints,
     MarginalConstraintSystem,
     TooManyVariables,
@@ -18,6 +21,7 @@ from contexcert.jpdoracle import (
     quadrupole_system_from_chsh,
     triple_jpd_feasible,
     triple_system_from_correlations,
+    _lp_pattern,
 )
 from contexcert.scenario import CorrelationSet, ProbTable, marginalize
 
@@ -464,3 +468,122 @@ class TestNumberTypes:
             entries += [c for _, _, c in cert.cell_coeffs]
         assert entries
         assert all(type(v) is number for v in entries), [type(v) for v in entries]
+
+
+def bit_lp_pattern(n, supports):
+    """The oracle's pattern before it numbered cells with ``cell_index``, kept as
+    the reference: atom j gives variable i the value +1 when bit (n-1-i) of j
+    is 0, and a table's cell numbers read its support's bits the same way."""
+    n_atoms = 1 << n
+    atoms = np.arange(n_atoms)
+    bits = (atoms[None, :] >> (n - 1 - np.arange(n)[:, None])) & 1  # (n, n_atoms)
+    rows = [np.ones(n_atoms)]
+    row_cells = [None]
+    for ci, sup in enumerate(supports):
+        k = len(sup)
+        cell_idx = np.zeros(n_atoms, dtype=np.int64)
+        for i in sup:
+            cell_idx = (cell_idx << 1) | bits[i]
+        for c in range((1 << k) - 1):
+            rows.append((cell_idx == c).astype(np.float64))
+            cell = tuple(1 if ((c >> (k - 1 - t)) & 1) == 0 else -1 for t in range(k))
+            row_cells.append((ci, cell))
+    return np.asarray(rows), tuple(row_cells)
+
+
+def bit_atom_outcomes(n, j):
+    return tuple(1 if ((j >> (n - 1 - i)) & 1) == 0 else -1 for i in range(n))
+
+
+class TestPatternNumbering:
+    """``_lp_pattern`` numbers atoms and cells with ``cell_index``; the numbers
+    are those of the bit rule it replaced, so the LP is the same LP."""
+
+    CASES = [(n, tuple((i, (i + 1) % n) for i in range(n))) for n in (3, 4, 5, 6)]
+    CASES += [(4, ((0, 1, 2), (0, 1, 3))), (12, ((3, 7),)), (12, ((7, 3),))]
+
+    @pytest.mark.parametrize("n, supports", CASES)
+    def test_matches_the_bit_numbering(self, n, supports):
+        A, A_int, row_cells, atoms, *_ = _lp_pattern(n, supports)
+        ref_A, ref_row_cells = bit_lp_pattern(n, supports)
+        assert A.dtype == ref_A.dtype and np.array_equal(A, ref_A)
+        assert [list(row) for row in A_int] == ref_A.astype(np.int64).tolist()
+        assert row_cells == ref_row_cells
+        assert atoms == tuple(bit_atom_outcomes(n, j) for j in range(1 << n))
+
+    def test_shared_sets(self):
+        # singles in first-appearance order, then the shared pairs and larger sets;
+        # each set cell has one sum per table with the set, side by side
+        *_, n_sums, plan, shared = _lp_pattern(4, ((0, 1, 2), (1, 0, 3), (3, 2)))
+        assert shared == (((0,), 0, 4, 2), ((1,), 4, 8, 2), ((2,), 8, 12, 2), ((3,), 12, 16, 2), ((0, 1), 16, 24, 2))
+        assert n_sums == 24
+        # the A,B cells of (A,B,C)'s cells 0..7, then of (B,A,D)'s, numbered from 8
+        abc, bad = (0, 0, 1, 1, 2, 2, 3, 3), (0, 0, 2, 2, 1, 1, 3, 3)
+        expected = [(16 + 2 * m, c) for c, m in enumerate(abc)] + [(17 + 2 * m, 8 + c) for c, m in enumerate(bad)]
+        assert [pair for pair in plan if pair[0] >= 16] == expected
+
+
+@st.composite
+def shared_marginal_systems(draw):
+    """2-4 tables over 3-5 variables, each the marginal of one global table,
+    some then moved by +-d on the cells of one parity pattern: d times the
+    product of the values at 1-3 positions, the other values held fixed, so
+    that exactly the marginals of sets holding those positions change."""
+    n = draw(st.integers(3, 5))
+    variables = tuple("ABCDE"[:n])
+    weights = draw(st.lists(st.integers(0, 5), min_size=2**n, max_size=2**n).filter(any))
+    atoms = product((1, -1), repeat=n)
+    probs = {atom: Fraction(w, sum(weights)) for atom, w in zip(atoms, weights) if w}
+    whole = ProbTable(variables, probs, ((1, -1),) * n)
+    tables = []
+    for _ in range(draw(st.integers(2, 4))):
+        sup = draw(st.permutations(variables))[: draw(st.integers(1, min(n, 4)))]
+        table = marginalize(whole, sup)
+        probs = {cell: table.prob(cell) for cell in product((1, -1), repeat=len(sup))}
+        if draw(st.booleans()):
+            moved = draw(st.permutations(range(len(sup))))[: draw(st.integers(1, min(len(sup), 3)))]
+            fixed = draw(st.sampled_from(sorted(probs)))
+            cells = {c: math.prod(c[i] for i in moved) for c in probs
+                     if all(c[i] == fixed[i] for i in range(len(sup)) if i not in moved)}
+            d = min([Fraction(draw(st.integers(1, 3)), 1000)] + [probs[c] for c, s in cells.items() if s < 0])
+            for c, sign in cells.items():
+                probs[c] += sign * d
+        tables.append((sup, probs))
+    return variables, tables
+
+
+class TestSharedMarginalCheck:
+    """The oracle refuses a system exactly when ``marginalize`` finds a shared
+    variable set, a variable in two tables or two supports' common part, on
+    which two tables' marginals differ; the message names such a set.  Float
+    differences are 0 (up to rounding) or at least 1e-3, far from 1e-9."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=shared_marginal_systems())
+    def test_refuses_exactly_the_disagreeing_systems(self, exact, drawn):
+        variables, drawn_tables = drawn
+        number = Fraction if exact else float
+        system = MarginalConstraintSystem(variables, tuple(
+            (sup, ProbTable(sup, {c: number(p) for c, p in probs.items() if p}, ((1, -1),) * len(sup)))
+            for sup, probs in drawn_tables
+        ))
+        supports = [set(sup) for sup, _ in system.constraints]
+        shared = {(v,) for v in variables if sum(v in s for s in supports) > 1}
+        shared |= {tuple(v for v in variables if v in s & t)
+                   for i, s in enumerate(supports) for t in supports[i + 1 :] if len(s & t) > 1}
+        tol = 0 if exact else SIGNALING_PRECHECK_TOL
+        differing = set()
+        for keep in shared:
+            marginals = [marginalize(table, keep) for sup, table in system.constraints if set(keep) <= set(sup)]
+            for cell in product((1, -1), repeat=len(keep)):
+                values = [m.prob(cell) for m in marginals]
+                if max(values) - min(values) > tol:
+                    differing.add(keep)
+        if differing:
+            with pytest.raises(InconsistentConstraints) as exc:
+                jpd_feasible(system, exact=exact)
+            named = str(exc.value).split("marginal of ")[1].split(" beyond")[0]
+            assert tuple(named.split(",")) in differing
+        else:
+            assert jpd_feasible(system, exact=exact).status in ("feasible", "infeasible")
