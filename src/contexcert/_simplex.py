@@ -3,8 +3,7 @@
 Solves  find x >= 0 with A x = b  by minimizing the sum of artificial
 variables.  Two implementations:
 
-* a dense numpy tableau with Dantzig pricing that falls back to Bland's
-  anti-cycling rule after a run of degenerate pivots (fast path), and
+* a dense float64 tableau (fast path), and
 * an exact, fraction-free integer tableau using Bland's rule throughout
   (used where tolerance ambiguity must be ruled out).  Its rows are scaled
   to integers by the common denominator of A and b, and every pivot uses
@@ -12,6 +11,25 @@ variables.  Two implementations:
   Bareiss (Math. Comp. 22, 1968): each entry is a subdeterminant of the
   scaled system, so each update divides exactly and no gcd is ever taken.
   Its pivots and results are those of a ``Fraction`` tableau.
+
+The float tableau's pivots follow one contract, which a copy of its former
+loop in the tests checks bit for bit:
+
+* Dantzig pricing: the structural column with the most negative reduced
+  cost enters, the lowest column on ties; the loop stops when no reduced
+  cost is below -PIVOT_TOL.
+* The ratio test runs over rows whose entry in that column exceeds
+  PIVOT_TOL, and the first minimum ratio, that is the lowest row, leaves.
+* A pivot is degenerate when the leaving row's right-hand side is at most
+  PIVOT_TOL.  After more than 3*(m+5) degenerate pivots in a row, Bland's
+  rule holds for the rest of the solve: the lowest column with a reduced
+  cost below -PIVOT_TOL enters, and of the rows whose ratio is within
+  PIVOT_TOL of the minimum, the one whose basic variable has the lowest
+  index leaves.
+* A column that prices in but has no eligible row would be an unbounded ray,
+  which phase 1 cannot have: its reduced cost is noise, so it is set to 0.0
+  and pricing starts again.
+* After 200*(m+n+10) iterations the solve raises :class:`SimplexFailure`.
 
 Both return the phase-1 objective (0 iff the system is feasible, up to the
 caller's tolerance), the structural solution when one exists, and the dual
@@ -60,48 +78,54 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
     T[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
 
+    cost = T[m, :n]
+    rhs = T[:m, -1]
+    ratios = np.empty(m)
+    column = np.empty(m + 1)
+    update = np.empty_like(T)
     bland = False
     degenerate_streak = 0
     max_iter = 200 * (m + n + 10)
     for _ in range(max_iter):
-        reduced = T[m, :n]
         if bland:
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-            if candidates.size == 0:
+            improving = cost < -PIVOT_TOL
+            enter = improving.argmax()
+            if not improving[enter]:
                 break
-            enter = int(candidates[0])
         else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -PIVOT_TOL:
+            enter = cost.argmin()
+            if cost[enter] >= -PIVOT_TOL:
                 break
 
         col = T[:m, enter]
-        rows = np.flatnonzero(col > PIVOT_TOL)
-        if rows.size == 0:
+        eligible = col > PIVOT_TOL
+        # ineligible rows read inf, so the first minimum is an eligible row
+        # whenever one exists (a finite ratio needs rhs below ~1e297)
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=eligible)
+        leave = ratios.argmin()
+        if not eligible[leave]:
             # Phase-1 objective is bounded below by 0, so an unbounded ray
             # can only be numerical noise in the reduced costs.
             T[m, enter] = 0.0
             continue
-        ratios = T[rows, -1] / col[rows]
         if bland:
-            best = ratios.min()
-            ties = rows[np.flatnonzero(ratios <= best + PIVOT_TOL)]
-            leave = int(ties[np.argmin(basis[ties])])
-        else:
-            leave = int(rows[np.argmin(ratios)])
+            ties = (ratios <= ratios[leave] + PIVOT_TOL).nonzero()[0]
+            leave = ties[basis[ties].argmin()]
 
-        if T[leave, -1] <= PIVOT_TOL:
+        if rhs[leave] <= PIVOT_TOL:
             degenerate_streak += 1
             if degenerate_streak > 3 * (m + 5):
                 bland = True
         else:
             degenerate_streak = 0
 
-        piv = T[leave, enter]
-        T[leave] /= piv
-        column = T[:, enter].copy()
+        pivot_row = T[leave]
+        pivot_row /= pivot_row[enter]
+        np.copyto(column, T[:, enter])
         column[leave] = 0.0
-        T -= np.outer(column, T[leave])
+        np.multiply.outer(column, pivot_row, out=update)
+        T -= update
         T[:, enter] = 0.0
         T[leave, enter] = 1.0
         basis[leave] = enter

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, groupby, product, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -304,7 +304,7 @@ class ProbTable:
             raise ContexcertError("table support repeats an observable")
         if len(alphabets) != len(support):
             raise ContexcertError("alphabets must match support positionally")
-        cells = set(product(*alphabets))
+        cells = _alphabet_product(alphabets)
         probs = {tuple(k): v for k, v in dict(self.probs).items()}
         object.__setattr__(self, "probs", probs)
         for key, value in probs.items():
@@ -332,6 +332,12 @@ class ProbTable:
         """Expectation of a numeric observable under this table's marginal."""
         marg = marginalize(self, (obs_id,))
         return _maybe_float(sum(v * p for (v,), p in marg.probs.items()))
+
+
+@lru_cache(maxsize=128)
+def _alphabet_product(alphabets: tuple[tuple, ...]) -> frozenset:
+    """Every outcome tuple over ``alphabets``; shared by all tables on them."""
+    return frozenset(product(*alphabets))
 
 
 def _accurate_sum(values: Iterable) -> Any:

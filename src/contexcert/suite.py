@@ -22,6 +22,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import __version__
+from ._simplex import SimplexFailure
 from .belltests import (
     ChshInput,
     CorrelationConstraintUnmet,
@@ -335,17 +336,22 @@ def _oracle_cross_check(which: str, run: InequalityRun) -> dict | None:
     """The LP oracle on the tables behind a CHSH or Suppes-Zanotti verdict."""
     if which == "chsh":
         system, agrees = "quadrupole", "agrees_with_chsh"
-        feas = jpd_feasible(quadrupole_system_from_chsh(run.test_input))
+        solve, problem = jpd_feasible, quadrupole_system_from_chsh(run.test_input)
         variables = run.test_input.a_block + run.test_input.b_block
     elif which == "suppes-zanotti":
         system, agrees = "triple", "agrees_with_sz"
-        feas = triple_jpd_feasible(run.test_input)
+        solve, problem = triple_jpd_feasible, run.test_input
         variables = run.test_input.triple
     else:
         return None
+    entry = {"system": system, "variables": list(variables)}
+    try:
+        feas = solve(problem)
+    except SimplexFailure as exc:
+        # a solver limit is a result of the run, not a reason to lose the report
+        return {**entry, "status": "solver_failed", "reason": str(exc)}
     return {
-        "system": system,
-        "variables": list(variables),
+        **entry,
         "status": feas.status,
         "slack": feas.slack,
         agrees: feas.feasible == (run.verdict.outcome is Outcome.REJECTED_NONCONTEXTUAL),

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from contexcert import _simplex
+from contexcert._simplex import SimplexFailure
 from contexcert.cli import _parse_selections, main
 from contexcert.dataio import write_dataset_csv, write_scenario_json
 from contexcert.quantumgen import sample_lhv_dataset, sphere_lhv_model
@@ -438,6 +440,30 @@ class TestFullSuite:
         assert out1.read_bytes() == out2.read_bytes()
         report = json.loads(out1.read_text())
         assert report["summary"]["chsh"] == "passed_contextuality_test"
+
+    def test_solver_failure_is_an_oracle_entry(self, tmp_path, capsys, monkeypatch):
+        csv, scen = generate_singlet(tmp_path, capsys, n=1000)
+        argv = ["full-suite", "--data", str(csv), "--scenario", str(scen), "--seed", "6"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        expected = json.loads(out)
+
+        def fail(A, b):
+            raise SimplexFailure("phase-1 simplex iteration limit exceeded")
+
+        monkeypatch.setattr(_simplex, "phase1_dense", fail)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        report = json.loads(out)
+        expected["oracle"] = [
+            {
+                "system": "quadrupole",
+                "variables": ["A1", "A2", "B1", "B2"],
+                "status": "solver_failed",
+                "reason": "phase-1 simplex iteration limit exceeded",
+            }
+        ]
+        assert report == expected
 
     def test_seed_required(self, tmp_path, capsys, monkeypatch):
         csv, scen = generate_singlet(tmp_path, capsys, n=100)

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -321,6 +322,34 @@ class TestTableInvariants:
         kind = "negative" if value < 0 else "non-finite"
         with pytest.raises(ContexcertError, match=f"^{kind} probability {value!r} at \\(1,\\)$"):
             ProbTable(("A",), {(1,): value, (-1,): 0.5}, ((1, -1),))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ({(1, 2): 1.0}, "outcome tuple (1, 2) outside alphabet product"),
+            ({(1,): 1.0}, "outcome tuple (1,) outside alphabet product"),
+            ({(1, 1): 1.5, (-1, -1): -0.5}, "negative probability -0.5 at (-1, -1)"),
+            ({(1, 1): math.nan, (-1, -1): 0.5}, "non-finite probability nan at (1, 1)"),
+        ],
+        ids=["outside", "arity", "negative", "nan"],
+    )
+    def test_cell_checks_on_shared_alphabet(self, probs, message):
+        # a valid table first, so the faulty one meets the alphabets' cells
+        # as a table built earlier left them
+        alphabets = ((1, -1), (1, -1))
+        ProbTable(("A", "B"), {(1, 1): 1.0}, alphabets)
+        with pytest.raises(ContexcertError, match=f"^{re.escape(message)}$"):
+            ProbTable(("A", "B"), probs, alphabets)
+
+    @pytest.mark.parametrize("alphabet", [(1, -1), (True, -1), (1.0, -1)])
+    def test_bool_and_int_cells_interchange(self, alphabet):
+        # True == 1 and hash(True) == hash(1): each names the other's cell
+        for key in [(1,), (True,), (1.0,)]:
+            table = ProbTable(("A",), {key: 1.0}, (alphabet,))
+            assert table.prob((1,)) == table.prob((True,)) == 1.0
+            assert type(next(iter(table.probs))[0]) is type(key[0])
+        with pytest.raises(ContexcertError, match="outside alphabet product"):
+            ProbTable(("A",), {(2,): 1.0}, (alphabet,))
 
     def test_estimate_then_marginalize_equals_projected_counts(self):
         s = Scenario(

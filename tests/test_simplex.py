@@ -1,11 +1,16 @@
+import re
 from fractions import Fraction
+from itertools import islice, product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contexcert._simplex import SimplexFailure, phase1_dense, phase1_exact
+from contexcert import _simplex
+from contexcert._simplex import PIVOT_TOL, SimplexFailure, phase1_dense, phase1_exact
 from contexcert.errors import ContexcertError
+from contexcert.jpdoracle import jpd_feasible, zero_mean_system
 
 
 def _fraction_phase1_reference(
@@ -62,6 +67,98 @@ def _fraction_phase1_reference(
     y = [one - cost[n + i] for i in range(m)]
     y = [(-v if f else v) for v, f in zip(y, flip)]
     return objective, x[:n], y
+
+
+def _dense_phase1_reference(
+    A: np.ndarray, b: np.ndarray, events: list | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The pivot loop phase1_dense replaced: about 17 numpy calls a pivot.
+    Kept as the differential reference for its pivots and results; ``events``
+    collects "bland" at the switch to Bland's rule and "reset" at each noise
+    reset of a reduced cost."""
+    events = [] if events is None else events
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64).copy()
+    m, n = A.shape
+    if b.shape != (m,):
+        raise ContexcertError("b length does not match A rows")
+
+    flip = b < 0
+    if flip.any():
+        A = A.copy()
+        A[flip] *= -1.0
+        b[flip] *= -1.0
+
+    # Tableau layout: [A | I | b] with the reduced-cost row appended.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -A.sum(axis=0)
+    T[m, -1] = -b.sum()
+    basis = np.arange(n, n + m)
+
+    bland = False
+    degenerate_streak = 0
+    max_iter = 200 * (m + n + 10)
+    for _ in range(max_iter):
+        reduced = T[m, :n]
+        if bland:
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            if candidates.size == 0:
+                break
+            enter = int(candidates[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -PIVOT_TOL:
+                break
+
+        col = T[:m, enter]
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if rows.size == 0:
+            # Phase-1 objective is bounded below by 0, so an unbounded ray
+            # can only be numerical noise in the reduced costs.
+            T[m, enter] = 0.0
+            events.append("reset")
+            continue
+        ratios = T[rows, -1] / col[rows]
+        if bland:
+            best = ratios.min()
+            ties = rows[np.flatnonzero(ratios <= best + PIVOT_TOL)]
+            leave = int(ties[np.argmin(basis[ties])])
+        else:
+            leave = int(rows[np.argmin(ratios)])
+
+        if T[leave, -1] <= PIVOT_TOL:
+            degenerate_streak += 1
+            if degenerate_streak > 3 * (m + 5) and not bland:
+                bland = True
+                events.append("bland")
+        else:
+            degenerate_streak = 0
+
+        piv = T[leave, enter]
+        T[leave] /= piv
+        column = T[:, enter].copy()
+        column[leave] = 0.0
+        T -= np.outer(column, T[leave])
+        T[:, enter] = 0.0
+        T[leave, enter] = 1.0
+        basis[leave] = enter
+    else:
+        raise SimplexFailure("phase-1 simplex iteration limit exceeded")
+
+    objective = -T[m, -1]
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    x = x[:n]
+    np.clip(x, 0.0, None, out=x)
+
+    y = 1.0 - T[m, n : n + m]
+    if flip.any():
+        y = y.copy()
+        y[flip] *= -1.0
+    return float(objective), x, y
 
 
 def check_farkas(A, b, y, objective):
@@ -196,3 +293,112 @@ class TestPhase1Exact:
         objective, x, y = phase1_exact(A, b)
         assert (objective, x, y) == _fraction_phase1_reference(A_ref, b_ref)
         assert all(type(v) is Fraction for v in [objective, *x, *y])
+
+
+def assert_same_bits(expected, got):
+    (obj_e, x_e, y_e), (obj_g, x_g, y_g) = expected, got
+    assert np.float64(obj_e).tobytes() == np.float64(obj_g).tobytes()
+    assert (x_e.shape, x_e.tobytes()) == (x_g.shape, x_g.tobytes())
+    assert (y_e.shape, y_e.tobytes()) == (y_g.shape, y_g.tobytes())
+
+
+def solve_both(A, b, events=None):
+    """The reference's outcome and phase1_dense's, which must be bit-equal."""
+    try:
+        expected = _dense_phase1_reference(A, b, events)
+    except SimplexFailure as exc:
+        with pytest.raises(SimplexFailure, match=f"^{re.escape(str(exc))}$"):
+            phase1_dense(A, b)
+        return None
+    got = phase1_dense(A, b)
+    assert_same_bits(expected, got)
+    return got
+
+
+@pytest.fixture
+def oracle_solves(monkeypatch):
+    """Route every float solve of the oracle through both loops; counts them."""
+    solves = []
+
+    def both(A, b):
+        solves.append(None)
+        return solve_both(A, b)
+
+    monkeypatch.setattr(_simplex, "phase1_dense", both)
+    return solves
+
+
+# Beale's cycling example (Beale 1955) with its slacks x1..x3 as structural
+# columns, and a fourth row that makes the phase-1 reduced costs Beale's
+# objective (0, 0, 0, -3/4, 20, -1/2, 6).  Dantzig pricing with the lowest
+# row on ratio ties cycles on it, so only the switch to Bland's rule ends it.
+BEALE_A = np.array(
+    [
+        [1, 0, 0, 1 / 4, -8, -1, 9],
+        [0, 1, 0, 1 / 2, -12, -1 / 2, 3],
+        [0, 0, 1, 0, 0, 1, 0],
+        [-1, -1, -1, 0, 0, 1, -18],
+    ]
+)
+BEALE_B = np.array([0.0, 0.0, 1.0, 10.0])
+
+
+class TestDensePivotsMatchReference:
+    def test_grid_4_cycles(self, oracle_solves):
+        grid = [k / 10 for k in range(-10, 11)]
+        variables = ("A1", "A2", "B1", "B2")
+        pairs = (("A1", "B1"), ("A1", "B2"), ("A2", "B1"), ("A2", "B2"))
+        for cs in islice(product(grid, repeat=4), 0, None, 7):
+            jpd_feasible(zero_mean_system(variables, pairs, cs))
+        assert len(oracle_solves) == 27_783
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_float_cycles(self, oracle_solves, n):
+        rng = np.random.default_rng(40 + n)
+        variables = tuple(f"X{i}" for i in range(n))
+        pairs = tuple(zip(variables, variables[1:] + variables[:1]))
+        for _ in range(400):
+            jpd_feasible(zero_mean_system(variables, pairs, rng.uniform(-1, 1, size=n)))
+        assert len(oracle_solves) == 400
+
+    def test_beale_cycle_switches_to_bland(self):
+        events = []
+        objective, _, y = solve_both(BEALE_A, BEALE_B, events)
+        assert events == ["bland"]
+        check_farkas(BEALE_A, BEALE_B, y, objective)
+
+    def test_noise_reset(self):
+        # each entry is below PIVOT_TOL, but the column's reduced cost is not
+        A = np.full((2, 1), 0.8 * PIVOT_TOL)
+        events = []
+        solve_both(A, np.array([1.0, 1.0]), events)
+        assert events == ["reset"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_systems(self, data):
+        # rows may be zero, negated copies (so b < 0), sums of others, or
+        # consistent with a point x0 >= 0 that has zeros (degenerate pivots)
+        entry = st.one_of(
+            st.integers(-4, 4).map(float),
+            st.floats(-4, 4, allow_nan=False, allow_subnormal=False),
+        )
+        m = data.draw(st.integers(1, 7), label="rows")
+        n = data.draw(st.integers(1, 9), label="columns")
+        x0 = [abs(v) for v in data.draw(st.lists(entry, min_size=n, max_size=n))]
+        A, b = [], []
+        for _ in range(m):
+            kinds = ["free", "consistent", "zero"] + (["negated", "sum"] if A else [])
+            kind = data.draw(st.sampled_from(kinds))
+            if kind in ("free", "consistent"):
+                A.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
+                b.append(data.draw(entry) if kind == "free" else float(np.dot(A[-1], x0)))
+            elif kind == "zero":
+                A.append([0.0] * n)
+                b.append(data.draw(st.sampled_from([0.0, -1.0, 0.5])))
+            else:
+                i = data.draw(st.integers(0, len(A) - 1))
+                j = data.draw(st.integers(0, len(A) - 1))
+                A.append([-v for v in A[i]] if kind == "negated" else [u + v for u, v in zip(A[i], A[j])])
+                b.append(-b[i] if kind == "negated" else b[i] + b[j])
+        solve_both(np.array(A), np.array(b))
