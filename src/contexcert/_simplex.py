@@ -6,10 +6,10 @@ variables.  Two implementations:
 * a dense float64 tableau (fast path), and
 * an exact, fraction-free integer tableau using Bland's rule throughout
   (used where tolerance ambiguity must be ruled out).  Its rows are scaled
-  to integers by the common denominator of A and b, and every pivot uses
-  the integer-preserving update of Edmonds (J. Res. NBS 71B, 1967) and
-  Bareiss (Math. Comp. 22, 1968): each entry is a subdeterminant of the
-  scaled system, so each update divides exactly and no gcd is ever taken.
+  to integers by the common denominator of A and b, and its pivots are the
+  integer-preserving ones of Edmonds (J. Res. NBS 71B, 1967) and Bareiss
+  (Math. Comp. 22, 1968), with each row kept at the pivot of its last update
+  so that a pivot rewrites only the rows it changes; no gcd is ever taken.
   Its pivots and results are those of a ``Fraction`` tableau.
 
 The float tableau's pivots follow one contract, which a copy of its former
@@ -154,18 +154,25 @@ def phase1_exact(
     negated, then multiplied by the common denominator D of ``A`` and
     ``b``, while the artificial identity block stays unscaled: A x + a = b
     becomes (D A) x + a' = D b with a' = D a, the same x and each
-    artificial times D.  The integer tableau M is the rational tableau of
-    the scaled system times the last pivot p (p = 1 at the start).  A pivot
-    on entry q = M[l][e] keeps row l and replaces every other row i by
-    (M[i][j]*q - M[i][e]*M[l][j]) // p, an exact division; then p = q.
+    artificial times D.  The eager Bareiss tableau E is the rational tableau
+    of that system times the last pivot p (p = 1 at the start); a pivot on
+    q = E[l][e] replaces each row i != l by (E[i]*q - E[i][e]*E[l]) // p.
+
+    Row i, the cost row (the last) included, is stored with a scale s_i,
+    the pivot at its last update, and stands for E[i] = rows[i] * p / s_i.
+    A row with a 0 entering entry would only be multiplied by q/p, so it is
+    skipped; any other becomes (rows[i]*q - rows[i][e]*E[l]) // s_i, the
+    eager update with p/s_i cancelled, so it divides exactly (E[l] is
+    rows[l] * p // s_l).  Updated rows and row l get scale q.
 
     Every pivot is the one a Fraction tableau of the unscaled system takes:
-    p > 0 throughout, so signs are kept; the structural reduced costs are D
-    times the unscaled ones; each row is the unscaled tableau's row times D
-    (an artificial is basic in it) or 1 (a structural variable is), so the
-    ratio test (cross-multiplied, ties to the lower basis index) ranks the
-    rows alike.  Hence x = rhs/p, y = (p - cost)/p over
-    the artificial columns, and the objective is -rhs/(p*D) of the cost row.
+    scales are pivots, all positive, so each entry has its eager sign, and
+    the cross-multiplied ratio test compares eager products divided by one
+    positive p*p/(s_i*s_l).  The reduced costs are D times the unscaled
+    ones, each row the unscaled one times D (an artificial is basic in it)
+    or 1, so the ratio test (ties to the lower basis index) ranks rows alike.
+    Hence x = rhs/s_i, and with s the cost row's scale, y = (s - cost)/s
+    over the artificial columns and the objective is -rhs/(s*D).
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -181,20 +188,21 @@ def phase1_exact(
         tableau_row[n + i] = 1
         tableau_row.append(bi.numerator * (s // bi.denominator))
         rows.append(tableau_row)
-    # Phase-1 reduced costs; the last slot holds minus the objective, as a
-    # row's last slot holds its right-hand side.
-    cost = [-sum(col) for col in zip(*rows)] if rows else [0]
-    cost[n : n + m] = [0] * m
+    # The phase-1 reduced costs are the last row; its last slot holds minus
+    # the objective, as a row's last slot holds its right-hand side.
+    rows.append([-sum(col) for col in zip(*rows)] if rows else [0])
+    rows[m][n : n + m] = [0] * m
+    scales = [1] * (m + 1)
     basis = list(range(n, n + m))
     p = 1
 
     max_iter = 500 * (m + n + 10)
     for _ in range(max_iter):
-        enter = next((j for j in range(n) if cost[j] < 0), None)
+        enter = next((j for j in range(n) if rows[m][j] < 0), None)
         if enter is None:
             break
         leave = None
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows[:m]):
             a = row[enter]
             if a <= 0:
                 continue
@@ -207,33 +215,24 @@ def phase1_exact(
             raise SimplexFailure("unbounded phase-1 column in exact mode")
 
         pivot_row = rows[leave]
+        if scales[leave] != p:
+            pivot_row = rows[leave] = [v * p // scales[leave] for v in pivot_row]
         q = pivot_row[enter]
-        for i, row in enumerate(rows):
-            if i != leave:
-                rows[i] = _edmonds_update(row, pivot_row, enter, q, p)
-        cost = _edmonds_update(cost, pivot_row, enter, q, p)
-        p = q
+        for i, (row, s) in enumerate(zip(rows, scales)):
+            f = row[enter]
+            if f and i != leave:
+                rows[i] = [(v * q - f * w) // s for v, w in zip(row, pivot_row)]
+                scales[i] = q
+        scales[leave] = p = q
         basis[leave] = enter
     else:
         raise SimplexFailure("exact phase-1 iteration limit exceeded")
 
-    objective = Fraction(-cost[-1], p * scale)
+    cost, s = rows.pop(), scales.pop()
+    objective = Fraction(-cost[-1], s * scale)
     x = [Fraction(0)] * n
-    for row, j in zip(rows, basis):
+    for row, s_i, j in zip(rows, scales, basis):
         if j < n:
-            x[j] = Fraction(row[-1], p)
-    y = [
-        Fraction(cost[n + i] - p if f else p - cost[n + i], p)
-        for i, f in enumerate(flip)
-    ]
+            x[j] = Fraction(row[-1], s_i)
+    y = [Fraction(cost[n + i] - s if f else s - cost[n + i], s) for i, f in enumerate(flip)]
     return objective, x, y
-
-
-def _edmonds_update(row: list[int], pivot_row: list[int], enter: int, q: int, p: int) -> list[int]:
-    """One row of the integer pivot; every division is exact."""
-    f = row[enter]
-    if f:
-        return [(v * q - f * w) // p for v, w in zip(row, pivot_row)]
-    if q == p:
-        return row
-    return [v * q // p for v in row]

@@ -59,11 +59,13 @@ def _parse_value(token: str):
 
 def json_number(convert: Any, value: Any, kind: str) -> Any:
     """``convert(value)`` for a value read from a ``kind`` JSON file; a value it
-    cannot read raises a :class:`ParseError` that names it."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{kind} JSON: cannot read {value!r} as a number") from None
+    cannot read, or a JSON boolean, raises a :class:`ParseError` that names it."""
+    if not isinstance(value, bool):
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"{kind} JSON: cannot read {value!r} as a number")
 
 
 def read_scenario_json(path: str | Path) -> Scenario:

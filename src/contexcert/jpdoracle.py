@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product, repeat
-from math import lcm
+from math import isfinite, lcm
 from typing import Any
 
 import numpy as np
@@ -202,22 +202,23 @@ def jpd_feasible(
         for sup, table in system.constraints
     ]
     if exact:
-        for ci, ((sup, _), cells) in enumerate(zip(system.constraints, probs)):
-            if not all(isinstance(p, (Fraction, int)) for p in cells):
-                raise ContexcertError("exact mode requires Fraction-valued tables")
+        if not all(isinstance(p, (Fraction, int)) for cells in probs for p in cells):
+            raise ContexcertError("exact mode requires Fraction-valued tables")
+        # sums and marginals taken as integer numerators over one common
+        # denominator, which is exact and avoids a gcd per Fraction addition
+        denominator = lcm(*(p.denominator for cells in probs for p in cells))
+        weights = [p.numerator * (denominator // p.denominator) for cells in probs for p in cells]
+        bounds = list(accumulate(map(len, probs), initial=0))
+        for ci, (sup, _) in enumerate(system.constraints):
             # _lp_pattern drops each table's last cell as implied by
             # normalization, which holds only up to NORMALIZATION_TOL unless
             # the sum is exactly 1
-            total = sum(cells)
-            if total != 1:
+            total = sum(weights[bounds[ci] : bounds[ci + 1]])
+            if total != denominator:
                 raise ContexcertError(
                     f"exact mode requires each table to sum to exactly 1; "
-                    f"constraint {ci} over {','.join(sup)} sums to {total}"
+                    f"constraint {ci} over {','.join(sup)} sums to {Fraction(total, denominator)}"
                 )
-        # marginals summed as integer numerators over one common denominator,
-        # which is exact and avoids a gcd per Fraction addition
-        denominator = lcm(*(p.denominator for cells in probs for p in cells))
-        weights = [p.numerator * (denominator // p.denominator) for cells in probs for p in cells]
         number, tol = Fraction, 0
     else:
         weights = [float(p) for cells in probs for p in cells]
@@ -279,17 +280,19 @@ def pair_table_from_correlation(
     """The unique zero-mean +-1 pair table with the given correlation.
 
     p(a, b) = (1 + a*b*corr) / 4.  With ``exact`` the correlation is taken
-    as an exact rational and the cells stay Fractions.
+    as an exact rational n/d and the cells stay Fractions (d +- n) / 4d.
     """
+    if not isinstance(corr, (int, Fraction, str)) and not isfinite(corr):
+        raise ContexcertError(f"non-finite correlation {corr!r}")
     c = Fraction(corr) if exact else float(corr)
     if abs(c) > 1:
         raise ContexcertError(f"correlation {corr!r} outside [-1, 1]")
-    quarter = Fraction(1, 4) if exact else 0.25
-    probs = {
-        (a, b): quarter * (1 + a * b * c)
-        for a in DICHOTOMIC
-        for b in DICHOTOMIC
-    }
+    if exact:
+        n, d = c.numerator, c.denominator
+        same, opposite = Fraction(d + n, 4 * d), Fraction(d - n, 4 * d)
+    else:
+        same, opposite = 0.25 * (1 + c), 0.25 * (1 - c)
+    probs = {(a, b): same if a == b else opposite for a in DICHOTOMIC for b in DICHOTOMIC}
     return ProbTable(support=tuple(ids), probs=probs, alphabets=(DICHOTOMIC, DICHOTOMIC))
 
 

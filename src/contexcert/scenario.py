@@ -314,7 +314,7 @@ class ProbTable:
                 kind = "negative" if value < 0 else "non-finite"
                 raise ContexcertError(f"{kind} probability {value!r} at {key}")
         total = _accurate_sum(probs.values())
-        if abs(total - 1) > NORMALIZATION_TOL:
+        if total != 1 and abs(total - 1) > NORMALIZATION_TOL:
             raise ContexcertError(f"table not normalized: sum = {total!r}")
 
     @property
@@ -341,9 +341,12 @@ def _alphabet_product(alphabets: tuple[tuple, ...]) -> frozenset:
 
 
 def _accurate_sum(values: Iterable) -> Any:
+    """A Fraction for exact values, summed as integer numerators over their
+    lcm (no gcd per addition); otherwise ``math.fsum``."""
     values = list(values)
     if all(isinstance(v, (Fraction, int)) for v in values):
-        return sum(values, start=Fraction(0))
+        denominator = math.lcm(*(v.denominator for v in values))
+        return Fraction(sum(v.numerator * (denominator // v.denominator) for v in values), denominator)
     return math.fsum(values)
 
 

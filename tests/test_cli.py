@@ -605,6 +605,12 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
             "observables JSON: cannot read 'x' as a number",
         ),
         ({"matrix": RHO}, [{"id": "A1", "angle": None}], "observables JSON: cannot read None as a number"),
+        ({"matrix": RHO}, [{"id": "A1", "angle": True}], "observables JSON: cannot read True as a number"),
+        (
+            {"matrix": RHO},
+            [{"id": "A1", "angle": 0, "qubit": False}],
+            "observables JSON: cannot read False as a number",
+        ),
         (
             {"matrix": RHO},
             [{"id": "A1", "projectors": {"up": np.eye(4).tolist()}}],
@@ -620,6 +626,8 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
         "angle not a number",
         "qubit not a number",
         "angle null",
+        "angle a boolean",
+        "qubit a boolean",
         "projector key not a number",
         "state entry not a number",
         "angle nan",
@@ -645,6 +653,16 @@ def test_oracle_refuses_a_non_finite_probability(value, tmp_path, capsys):
     cons.write_text(json.dumps({"variables": ["A", "B"], "constraints": [table]}))
     code, out, err = run_cli(capsys, "oracle", "--constraints", str(cons))
     assert (code, out, err) == (1, "", f"contexcert: error: non-finite probability {value} at (1, 1)\n")
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_oracle_refuses_a_boolean_probability(exact, tmp_path, capsys):
+    # float mode used to read true as 1.0 and decide the system
+    table = {"support": ["A", "B"], "probs": {"1,1": True}}
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps({"variables": ["A", "B"], "constraints": [table]}))
+    code, out, err = run_cli(capsys, "oracle", "--constraints", str(cons), *(["--exact"] if exact else []))
+    assert (code, out, err) == (1, "", "contexcert: error: constraint JSON: cannot read True as a number\n")
 
 
 @pytest.mark.parametrize(

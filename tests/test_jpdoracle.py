@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -91,6 +92,25 @@ class TestPairTable:
     def test_out_of_range(self):
         with pytest.raises(ContexcertError):
             pair_table_from_correlation(("X", "Y"), 1.5)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("corr", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite(self, corr, exact):
+        # exact mode used to raise a bare OverflowError or ValueError, float
+        # mode to refuse NaN only through the table's cell check
+        with pytest.raises(ContexcertError, match=rf"^non-finite correlation {re.escape(repr(corr))}$"):
+            pair_table_from_correlation(("X", "Y"), corr, exact)
+
+    @pytest.mark.parametrize("corr", [-1, Fraction(-7, 10), 0, Fraction(1, 3), Fraction(9, 10), 1])
+    def test_cells(self, corr):
+        # exact cells are (1 + a*b*corr) / 4 as Fractions; float cells are
+        # bit for bit 0.25 * (1 + a*b*corr)
+        exact = pair_table_from_correlation(("X", "Y"), corr, exact=True)
+        table = pair_table_from_correlation(("X", "Y"), float(corr))
+        for a, b in product((1, -1), repeat=2):
+            assert exact.probs[a, b] == Fraction(1, 4) * (1 + a * b * Fraction(corr))
+            assert type(exact.probs[a, b]) is Fraction
+            assert table.probs[a, b].hex() == (0.25 * (1 + a * b * float(corr))).hex()
 
 
 class TestJpdFeasible:

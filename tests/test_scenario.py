@@ -317,6 +317,24 @@ class TestTableInvariants:
         with pytest.raises(ContexcertError):
             ProbTable(("A",), {(1,): 1.2, (-1,): -0.2}, ((1, -1),))
 
+    @pytest.mark.parametrize(
+        "probs, total",
+        [
+            ({(1,): Fraction(1, 3), (-1,): Fraction(1, 2)}, Fraction(5, 6)),
+            ({(1,): 1, (-1,): 1}, Fraction(2)),
+            ({}, Fraction(0)),
+        ],
+        ids=["fractions", "ints", "empty"],
+    )
+    def test_exact_normalization_message(self, probs, total):
+        message = f"table not normalized: sum = {total!r}"
+        with pytest.raises(ContexcertError, match=f"^{re.escape(message)}$"):
+            ProbTable(("A",), probs, ((1, -1),))
+
+    def test_exact_sum_within_tolerance(self):
+        # an exact sum off 1 by less than NORMALIZATION_TOL passes, as a float one does
+        ProbTable(("A",), {(1,): Fraction(1, 3), (-1,): Fraction(2, 3) + Fraction(1, 10**13)}, ((1, -1),))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, value):
         kind = "negative" if value < 0 else "non-finite"

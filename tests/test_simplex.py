@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import islice, product
+from math import lcm
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from contexcert import _simplex
 from contexcert._simplex import PIVOT_TOL, SimplexFailure, phase1_dense, phase1_exact
 from contexcert.errors import ContexcertError
-from contexcert.jpdoracle import jpd_feasible, zero_mean_system
+from contexcert.jpdoracle import _lp_pattern, jpd_feasible, pair_table_from_correlation, zero_mean_system
 
 
 def _fraction_phase1_reference(
@@ -67,6 +68,81 @@ def _fraction_phase1_reference(
     y = [one - cost[n + i] for i in range(m)]
     y = [(-v if f else v) for v, f in zip(y, flip)]
     return objective, x[:n], y
+
+
+def _eager_phase1_exact_reference(A, b, events: list | None = None):
+    """The pivot loop phase1_exact replaced: every row at the last pivot p,
+    so a row whose entering entry is 0 is still rescaled by q/p.  Kept as
+    the differential reference for its pivots and results; ``events`` gets,
+    for each pivot, the rows it only rescaled."""
+    events = [] if events is None else events
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if len(b) != m:
+        raise ContexcertError("b length does not match A rows")
+
+    scale = lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
+    flip = [bi < 0 for bi in b]
+    rows = []
+    for i, (row, bi, f) in enumerate(zip(A, b, flip)):
+        s = -scale if f else scale
+        tableau_row = [v.numerator * (s // v.denominator) for v in row] + [0] * m
+        tableau_row[n + i] = 1
+        tableau_row.append(bi.numerator * (s // bi.denominator))
+        rows.append(tableau_row)
+    cost = [-sum(col) for col in zip(*rows)] if rows else [0]
+    cost[n : n + m] = [0] * m
+    basis = list(range(n, n + m))
+    p = 1
+
+    def update(row, pivot_row, enter, q, p):
+        f = row[enter]
+        if f:
+            return [(v * q - f * w) // p for v, w in zip(row, pivot_row)]
+        if q == p:
+            return row
+        return [v * q // p for v in row]
+
+    max_iter = 500 * (m + n + 10)
+    for _ in range(max_iter):
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        if leave is None:
+            raise SimplexFailure("unbounded phase-1 column in exact mode")
+
+        pivot_row = rows[leave]
+        q = pivot_row[enter]
+        events.append([i for i, row in enumerate(rows) if i != leave and not row[enter] and q != p])
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = update(row, pivot_row, enter, q, p)
+        cost = update(cost, pivot_row, enter, q, p)
+        p = q
+        basis[leave] = enter
+    else:
+        raise SimplexFailure("exact phase-1 iteration limit exceeded")
+
+    objective = Fraction(-cost[-1], p * scale)
+    x = [Fraction(0)] * n
+    for row, j in zip(rows, basis):
+        if j < n:
+            x[j] = Fraction(row[-1], p)
+    y = [
+        Fraction(cost[n + i] - p if f else p - cost[n + i], p)
+        for i, f in enumerate(flip)
+    ]
+    return objective, x, y
 
 
 def _dense_phase1_reference(
@@ -292,6 +368,7 @@ class TestPhase1Exact:
         b_ref = [Fraction(v) for v in b]
         objective, x, y = phase1_exact(A, b)
         assert (objective, x, y) == _fraction_phase1_reference(A_ref, b_ref)
+        assert (objective, x, y) == _eager_phase1_exact_reference(A, b)
         assert all(type(v) is Fraction for v in [objective, *x, *y])
 
 
@@ -402,3 +479,112 @@ class TestDensePivotsMatchReference:
                 A.append([-v for v in A[i]] if kind == "negated" else [u + v for u, v in zip(A[i], A[j])])
                 b.append(-b[i] if kind == "negated" else b[i] + b[j])
         solve_both(np.array(A), np.array(b))
+
+
+def solve_exact_both(A, b, events=None):
+    """phase1_exact's outcome, which must equal the eager reference's."""
+    got = phase1_exact(A, b)
+    assert got == _eager_phase1_exact_reference(A, b, events)
+    return got
+
+
+@pytest.fixture
+def oracle_exact_solves(monkeypatch):
+    """Route every exact solve of the oracle through both loops; keeps each (A, b)."""
+    solves = []
+
+    def both(A, b):
+        solves.append((A, b))
+        return solve_exact_both(A, b)
+
+    monkeypatch.setattr(_simplex, "phase1_exact", both)
+    return solves
+
+
+def as_fractions(A):
+    return [[Fraction(v) for v in row] for row in A]
+
+
+def exact_grid_systems(pairs, points):
+    """(A, b) of the zero-mean cycle LP at each grid point, as jpd_feasible
+    builds it: A from _lp_pattern, b from the pair tables' cells."""
+    variables = sorted({v for pair in pairs for v in pair})
+    supports = tuple(tuple(map(variables.index, pair)) for pair in pairs)
+    _, A, row_cells, *_ = _lp_pattern(len(variables), supports)
+    cells = {}
+    for cs in points:
+        for c in cs:
+            if c not in cells:
+                cells[c] = pair_table_from_correlation(("X", "Y"), c, exact=True).probs
+        yield A, [Fraction(1)] + [cells[cs[ci]][cell] for ci, cell in row_cells[1:]]
+
+
+class TestExactPivotsMatchReference:
+    def test_grid_4_cycles(self):
+        grid = [Fraction(k, 10) for k in range(-10, 11)]
+        pairs = (("A1", "B1"), ("A1", "B2"), ("A2", "B1"), ("A2", "B2"))
+        systems = list(exact_grid_systems(pairs, islice(product(grid, repeat=4), 0, None, 7)))
+        for A, b in systems:
+            solve_exact_both(A, b)
+        assert len(systems) == 27_783
+
+    def test_grid_3_cycles(self):
+        grid = [Fraction(k, 10) for k in range(-10, 11)]
+        pairs = (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))
+        systems = list(exact_grid_systems(pairs, product(grid, repeat=3)))
+        for A, b in systems:
+            solve_exact_both(A, b)
+        assert len(systems) == 21**3
+
+    def test_grid_systems_are_the_oracles(self, oracle_exact_solves):
+        pairs = (("A1", "B1"), ("A1", "B2"), ("A2", "B1"), ("A2", "B2"))
+        cs = (Fraction(1, 2), Fraction(-3, 10), Fraction(1), Fraction(0))
+        jpd_feasible(zero_mean_system(("A1", "A2", "B1", "B2"), pairs, cs, exact=True), exact=True)
+        assert oracle_exact_solves == list(exact_grid_systems(pairs, [cs]))
+
+    def test_beale(self):
+        A, b = as_fractions(BEALE_A), [Fraction(v) for v in BEALE_B]
+        objective, _, y = solve_exact_both(A, b)
+        check_farkas(BEALE_A, BEALE_B, np.array(y, dtype=float), float(objective))
+
+    def test_negative_b_rows_are_flipped(self):
+        # x1 - x2 = -1/2, x1 + x2 = 3/2 (x = (1/2, 1)); x1 = -1 has no x >= 0
+        A = as_fractions([[1, -1], [1, 1]])
+        objective, x, _ = solve_exact_both(A, [Fraction(-1, 2), Fraction(3, 2)])
+        assert (objective, x) == (0, [Fraction(1, 2), Fraction(1)])
+        objective, _, y = solve_exact_both(as_fractions([[1]]), [Fraction(-1)])
+        assert (objective, y) == (1, [Fraction(-1)])
+
+    def test_row_scale_lags_two_pivots(self):
+        # columns 0 and 1 enter first, with pivots 2 and 6; row 3 has 0 in
+        # both, so it keeps scale 1 until column 2 enters
+        A = as_fractions([[2, 0, 0], [0, 3, 0], [1, 1, 5], [0, 0, 1]])
+        events = []
+        objective, x, _ = solve_exact_both(A, [Fraction(v) for v in (2, 3, 7, 1)], events)
+        assert (objective, x) == (0, [1, 1, 1])
+        assert 3 in events[0] and 3 in events[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_systems(self, data):
+        # sparse rows (many zero entries, so rows lag), negated copies (so
+        # b < 0) and rows consistent with a point x0 >= 0 that has zeros
+        entry = st.one_of(
+            st.just(0),
+            st.integers(-4, 4),
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+        )
+        m = data.draw(st.integers(1, 7), label="rows")
+        n = data.draw(st.integers(1, 9), label="columns")
+        x0 = data.draw(st.lists(st.sampled_from([0, 1, Fraction(1, 2), 3]), min_size=n, max_size=n))
+        A, b = [], []
+        for _ in range(m):
+            kind = data.draw(st.sampled_from(["free", "consistent"] + (["negated"] if A else [])))
+            if kind == "negated":
+                i = data.draw(st.integers(0, len(A) - 1))
+                A.append([-v for v in A[i]])
+                b.append(-b[i])
+            else:
+                A.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
+                b.append(data.draw(entry) if kind == "free" else sum(u * v for u, v in zip(A[-1], x0)))
+        solve_exact_both(A, b)
