@@ -11,11 +11,19 @@ battery defines randomness.
 Built-in selections: prime positions, positions following a fixed pattern,
 arithmetic position filters (n mod m == r), and an independent seeded coin
 that never reads the data.
+
+Counting never copies the codes.  A selection's label counts come from one
+``bincount`` over ``codes + k * mask`` (k labels), whose upper k bins count
+the retained positions; a stabilization profile counts the label between
+consecutive checkpoints.  So the battery costs one pass over the sequence
+per selection, plus the pass that builds its mask, and a profile one pass
+per label, whatever the mask's density or the number of labels.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -32,7 +40,7 @@ class UnknownLabel(ContexcertError):
 
 
 class BadCheckpoints(ContexcertError):
-    """Checkpoints must be increasing and within the sequence length."""
+    """Checkpoints must be increasing integers within the sequence length."""
 
 
 class EmptySelection(ContexcertError):
@@ -122,6 +130,11 @@ class PlaceSelection:
 
     @classmethod
     def index_arithmetic(cls, modulus: int, residue: int) -> "PlaceSelection":
+        if not _is_integer(modulus) or not _is_integer(residue):
+            raise ContexcertError(
+                f"modulus and residue must be integers, got {modulus!r} and {residue!r}"
+            )
+        modulus, residue = int(modulus), int(residue)  # numpy unsigned residue - 1 would wrap
         if modulus < 1 or not 0 <= residue < modulus:
             raise ContexcertError("need modulus >= 1 and 0 <= residue < modulus")
         return cls(
@@ -147,6 +160,11 @@ class PlaceSelection:
         return cls(kind="custom", predicate=predicate, description=description)
 
 
+def _is_integer(value) -> bool:
+    """An integer that is not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _prime_mask(n: int) -> np.ndarray:
     """Boolean mask over 1-based positions 1..n, True at primes."""
     mask = np.zeros(n + 1, dtype=bool)
@@ -164,8 +182,10 @@ def selection_mask(seq: LabelSequence, sel: PlaceSelection) -> np.ndarray:
     if sel.kind == "prime_index":
         return _prime_mask(n)
     if sel.kind == "index_arithmetic":
-        positions = np.arange(1, n + 1)
-        return positions % sel.modulus == sel.residue
+        # 1-based position i + 1 = r (mod m) exactly when i = r - 1 (mod m)
+        mask = np.zeros(n, dtype=bool)
+        mask[(sel.residue - 1) % sel.modulus :: sel.modulus] = True
+        return mask
     if sel.kind == "external_coin":
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(sel.seed)))
         return rng.random(n) < sel.bias
@@ -223,12 +243,20 @@ def stabilization_profile(
     if label not in seq.labels:
         raise UnknownLabel(f"label {label!r} not in alphabet {seq.labels}")
     checkpoints = list(checkpoints)
+    bad = [c for c in checkpoints if not _is_integer(c)]
+    if bad:
+        raise BadCheckpoints(f"checkpoints must be integers, got {bad[0]!r}")
     if not checkpoints or any(c < 1 or c > len(seq) for c in checkpoints):
         raise BadCheckpoints(f"checkpoints must lie in 1..{len(seq)}")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise BadCheckpoints("checkpoints must be strictly increasing")
-    hits = np.cumsum(seq.codes == seq.labels.index(label))
-    return [(c, float(hits[c - 1]) / c) for c in checkpoints]
+    code = seq.labels.index(label)
+    profile, hits, start = [], 0, 0
+    for c in checkpoints:
+        hits += int(np.count_nonzero(seq.codes[start:c] == code))
+        profile.append((c, float(hits) / c))
+        start = c
+    return profile
 
 
 @dataclass(frozen=True)
@@ -292,17 +320,19 @@ def randomness_test(
     if min_retained < 30:
         raise ContexcertError("min_retained must be at least 30")
     overall = frequencies(seq)
+    k = len(seq.labels)
 
     results = []
     for sel in selections:
         mask = selection_mask(seq, sel)
-        retained = int(mask.sum())
+        # a retained position's code is shifted into the upper k bins
+        counts = np.bincount(seq.codes + k * mask, minlength=2 * k)[k:]
+        retained = int(counts.sum())
         if retained < min_retained:
             results.append(
                 SelectionResult(sel.description, retained, {}, 0.0, 0.0, "inconclusive")
             )
             continue
-        counts = np.bincount(seq.codes[mask], minlength=len(seq.labels))
         sel_freqs = {label: counts[i] / retained for i, label in enumerate(seq.labels)}
         deviations = {
             label: abs(sel_freqs[label] - overall[label]) for label in seq.labels

@@ -310,7 +310,9 @@ class ProbTable:
         for key, value in probs.items():
             if key not in cells:
                 raise ContexcertError(f"outcome tuple {key} outside alphabet product")
-            if not 0 <= value < math.inf:  # NaN fails both comparisons
+            # NaN fails both comparisons; a Fraction is never infinite, and
+            # comparing one with a float infinity is slow
+            if not (0 <= value and (type(value) is Fraction or value < math.inf)):
                 kind = "negative" if value < 0 else "non-finite"
                 raise ContexcertError(f"{kind} probability {value!r} at {key}")
         total = _accurate_sum(probs.values())

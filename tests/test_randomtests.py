@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contexcert.errors import ContexcertError
 from contexcert.randomtests import (
@@ -10,6 +13,8 @@ from contexcert.randomtests import (
     EmptySelection,
     LabelSequence,
     PlaceSelection,
+    RandomnessReport,
+    SelectionResult,
     UnknownLabel,
     apply_selection,
     frequency,
@@ -18,7 +23,12 @@ from contexcert.randomtests import (
     selection_mask,
     stabilization_profile,
 )
-from contexcert.tolerances import FixedTolerance, StatisticalTolerance
+from contexcert.tolerances import (
+    FixedTolerance,
+    StatisticalTolerance,
+    binomial_sigma,
+    resolve_tolerance,
+)
 
 
 def coin_sequence(n, seed, bias=0.5):
@@ -82,6 +92,16 @@ class TestStabilizationProfile:
         with pytest.raises(BadCheckpoints):
             stabilization_profile(alternating(10), 1, [20])
 
+    @pytest.mark.parametrize("checkpoints", [[2.5, 4], [True, 4], [2, 4.0], ["3"], [np.float64(2)]])
+    def test_non_integer_checkpoints_refused(self, checkpoints):
+        bad = next(c for c in checkpoints if type(c) is not int)
+        with pytest.raises(BadCheckpoints, match=f"^checkpoints must be integers, got {re.escape(repr(bad))}$"):
+            stabilization_profile(alternating(10), 1, checkpoints)
+
+    def test_numpy_integer_checkpoints(self):
+        profile = stabilization_profile(alternating(10), 1, np.array([2, 5], dtype=np.int16))
+        assert profile == [(2, 0.5), (5, 0.4)]
+
 
 class TestApplySelection:
     def test_prime_positions(self):
@@ -110,6 +130,25 @@ class TestApplySelection:
     def test_mod_selection(self):
         out = apply_selection(alternating(10), PlaceSelection.index_arithmetic(2, 0))
         assert out.values == (1, 1, 1, 1, 1)
+
+    def test_mod_mask_matches_position_arithmetic(self):
+        for n in range(1, 40):
+            seq = LabelSequence((0,), (0,) * n)
+            for modulus in range(1, 13):
+                for residue in range(modulus):
+                    sel = PlaceSelection.index_arithmetic(modulus, residue)
+                    assert selection_mask(seq, sel).tolist() == _reference_mod_mask(n, modulus, residue).tolist()
+
+    @pytest.mark.parametrize("modulus, residue", [(2.5, 0), (True, 0), (2, 0.0), (2, False), ("2", 0)])
+    def test_mod_selection_needs_integers(self, modulus, residue):
+        with pytest.raises(ContexcertError, match="^modulus and residue must be integers"):
+            PlaceSelection.index_arithmetic(modulus, residue)
+
+    @pytest.mark.parametrize("residue", [0, 1, 2])
+    def test_mod_selection_takes_numpy_integers(self, residue):
+        sel = PlaceSelection.index_arithmetic(np.int64(3), np.uint8(residue))
+        assert sel.description == f"positions n = {residue} (mod 3)"
+        assert selection_mask(alternating(7), sel).tolist() == _reference_mod_mask(7, 3, residue).tolist()
 
     def test_empty_selection(self):
         seq = LabelSequence((0, 1), (0,))
@@ -219,3 +258,166 @@ class TestRandomnessTest:
     def test_min_retained_floor(self):
         with pytest.raises(ContexcertError):
             randomness_test(alternating(100), BATTERY, min_retained=10)
+
+
+# ------------------------------------------------------------ references
+# The battery and profiles as they were counted before counting in place:
+# each retained subsequence copied out and counted, the arithmetic mask
+# from every position's residue, each profile from a full running sum.
+
+
+def _reference_mod_mask(n, modulus, residue):
+    return np.arange(1, n + 1) % modulus == residue
+
+
+def _reference_mask(seq, sel):
+    if sel.kind == "index_arithmetic":
+        return _reference_mod_mask(len(seq), sel.modulus, sel.residue)
+    return selection_mask(seq, sel)
+
+
+def _reference_randomness_test(seq, selections, policy, min_retained):
+    if not selections:
+        raise ContexcertError("need at least one selection")
+    if min_retained < 30:
+        raise ContexcertError("min_retained must be at least 30")
+    overall = frequencies(seq)
+
+    results = []
+    for sel in selections:
+        mask = _reference_mask(seq, sel)
+        retained = int(mask.sum())
+        if retained < min_retained:
+            results.append(
+                SelectionResult(sel.description, retained, {}, 0.0, 0.0, "inconclusive")
+            )
+            continue
+        counts = np.bincount(seq.codes[mask], minlength=len(seq.labels))
+        sel_freqs = {label: counts[i] / retained for i, label in enumerate(seq.labels)}
+        deviations = {
+            label: abs(sel_freqs[label] - overall[label]) for label in seq.labels
+        }
+        max_dev = max(deviations.values())
+        tols = {
+            label: resolve_tolerance(
+                policy, lambda k: k * binomial_sigma(overall[label], retained)
+            )
+            for label in seq.labels
+        }
+        deviant = any(deviations[l] > tols[l] for l in seq.labels)
+        results.append(
+            SelectionResult(
+                sel.description,
+                retained,
+                sel_freqs,
+                max_dev,
+                min(tols.values()),
+                "deviant" if deviant else "ok",
+            )
+        )
+    if all(r.status == "inconclusive" for r in results):
+        raise AllSelectionsInconclusive(
+            f"every selection retained fewer than {min_retained} elements"
+        )
+
+    notes = []
+    if any(f in (0.0, 1.0) for f in overall.values()):
+        notes.append(
+            "degenerate frequencies: some label has frequency 0 or 1; "
+            "stabilization holds but the battery cannot discriminate further"
+        )
+    notes.append("verdict certifies only that this battery was passed, not randomness as such")
+    return RandomnessReport(
+        overall_freq=overall,
+        per_selection=tuple(results),
+        tolerance_policy=policy.describe(),
+        min_retained=min_retained,
+        notes=tuple(notes),
+    )
+
+
+def _reference_profile(seq, label, checkpoints):
+    hits = np.cumsum(seq.codes == seq.labels.index(label))
+    return [(c, float(hits[c - 1]) / c) for c in checkpoints]
+
+
+@st.composite
+def label_streams(draw):
+    """A sequence over +-1, 1-300 strings or a mix of 0, "0" and "x", built
+    from its values or from uint8 codes (uint16 past 256 labels)."""
+    alphabet = draw(st.sampled_from(["pm1", "strings", "mixed"]))
+    if alphabet == "pm1":
+        labels = tuple(draw(st.permutations((1, -1))))
+    elif alphabet == "strings":
+        labels = tuple(f"s{i}" for i in range(draw(st.integers(1, 300))))
+    else:
+        labels = tuple(draw(st.lists(st.sampled_from([0, "0", "x"]), min_size=1, max_size=3, unique=True)))
+    k, n = len(labels), draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "skewed", "periodic", "constant"]))
+    if shape == "uniform":
+        codes = rng.integers(0, k, n)
+    elif shape == "skewed":
+        codes = np.minimum(rng.geometric(0.6, n) - 1, k - 1)
+    elif shape == "periodic":
+        codes = np.arange(n) % draw(st.integers(1, 6)) % k
+    else:
+        codes = np.full(n, draw(st.integers(0, k - 1)))
+    if draw(st.booleans()):
+        return LabelSequence.from_codes(labels, codes.astype(np.uint8 if k <= 256 else np.uint16))
+    return LabelSequence.from_values([labels[c] for c in codes.tolist()], labels)
+
+
+@st.composite
+def place_selections(draw, labels):
+    kind = draw(st.sampled_from(["prime", "after", "mod", "coin", "custom"]))
+    if kind == "prime":
+        return PlaceSelection.prime_index()
+    if kind == "after":
+        return PlaceSelection.after_pattern(draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3)))
+    if kind == "mod":
+        modulus = draw(st.integers(1, 12))
+        return PlaceSelection.index_arithmetic(modulus, draw(st.integers(0, modulus - 1)))
+    if kind == "coin":
+        return PlaceSelection.external_coin(draw(st.integers(0, 2**32)), draw(st.sampled_from([0.1, 0.5, 0.9, 1.0])))
+    first = labels[0]
+    return PlaceSelection.custom(
+        lambda n, prefix: n % 3 == 0 or (len(prefix) > 0 and prefix[-1] == first),
+        f"every third position or after {first!r}",
+    )
+
+
+def _outcome(run):
+    try:
+        report = run()
+    except ContexcertError as exc:
+        return type(exc), str(exc)
+    return repr(report.to_json()), repr(report)
+
+
+class TestCountingMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_reports_and_profiles(self, data):
+        seq = data.draw(label_streams())
+        selections = data.draw(st.lists(place_selections(seq.labels), min_size=1, max_size=6))
+        policy = data.draw(
+            st.one_of(
+                st.floats(0.0, 0.5).map(FixedTolerance),
+                st.floats(0.5, 6.0).map(StatisticalTolerance),
+            )
+        )
+        min_retained = data.draw(st.one_of(st.just(30), st.integers(30, 3100)))
+        assert _outcome(lambda: randomness_test(seq, selections, policy, min_retained)) == _outcome(
+            lambda: _reference_randomness_test(seq, selections, policy, min_retained)
+        )
+        for sel in selections:
+            if sel.kind == "index_arithmetic":
+                assert selection_mask(seq, sel).tolist() == _reference_mask(seq, sel).tolist()
+        checkpoints = sorted(
+            data.draw(st.lists(st.integers(1, len(seq)), min_size=1, max_size=12, unique=True))
+        )
+        for label in seq.labels:
+            profile = stabilization_profile(seq, label, checkpoints)
+            expected = _reference_profile(seq, label, checkpoints)
+            assert profile == expected and repr(profile) == repr(expected)

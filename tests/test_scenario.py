@@ -347,9 +347,20 @@ class TestTableInvariants:
             ({(1, 2): 1.0}, "outcome tuple (1, 2) outside alphabet product"),
             ({(1,): 1.0}, "outcome tuple (1,) outside alphabet product"),
             ({(1, 1): 1.5, (-1, -1): -0.5}, "negative probability -0.5 at (-1, -1)"),
+            ({(1, 1): 2, (-1, -1): -1}, "negative probability -1 at (-1, -1)"),
+            (
+                {(1, 1): Fraction(3, 2), (-1, -1): Fraction(-1, 2)},
+                "negative probability Fraction(-1, 2) at (-1, -1)",
+            ),
+            ({(1, 1): Fraction(1), (-1, -1): -math.inf}, "negative probability -inf at (-1, -1)"),
             ({(1, 1): math.nan, (-1, -1): 0.5}, "non-finite probability nan at (1, 1)"),
+            ({(1, 1): Fraction(1), (-1, -1): math.inf}, "non-finite probability inf at (-1, -1)"),
+            (
+                {(1, 1): 0.5, (-1, -1): np.float64(math.inf)},
+                "non-finite probability np.float64(inf) at (-1, -1)",
+            ),
         ],
-        ids=["outside", "arity", "negative", "nan"],
+        ids=["outside", "arity", "negative", "negative-int", "negative-fraction", "minus-inf", "nan", "inf", "numpy-inf"],
     )
     def test_cell_checks_on_shared_alphabet(self, probs, message):
         # a valid table first, so the faulty one meets the alphabets' cells
