@@ -4,7 +4,10 @@ Verdict polarity follows the certification convention used throughout the
 package: a sequence *passes* a contextuality test when the tested inequality
 is VIOLATED; when the inequality holds, the sequence is rejected as
 noncontextual.  Outcomes are an enum rather than a boolean precisely to keep
-that polarity impossible to misread.
+that polarity impossible to misread.  ``_verdict`` alone writes the polarity,
+``_require_pairs`` alone checks that every pair a test reads was measured, and
+``tolerances.require_nonnegative`` checks every number a test takes:
+``tolerance``, ``delta`` and ``TripleInput.zero_mean_tolerance``.
 
 Tests:
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import ContexcertError
 from .scenario import CorrelationSet
-from .tolerances import correlation_sigma
+from .tolerances import correlation_sigma, require_nonnegative
 
 
 class MissingPair(ContexcertError):
@@ -79,6 +82,19 @@ class TestVerdict:
         }
 
 
+def _verdict(test_name, statistic, bound, violated, margin, details) -> TestVerdict:
+    """The polarity rule: a test passes exactly when its inequality is ``violated``."""
+    outcome = Outcome.PASSED_CONTEXTUALITY_TEST if violated else Outcome.REJECTED_NONCONTEXTUAL
+    return TestVerdict(test_name, statistic, bound, outcome, margin, details)
+
+
+def _require_pairs(correlations: CorrelationSet, pairs) -> None:
+    """Raise :class:`MissingPair` for the first of ``pairs`` not in ``correlations``."""
+    for a, b in pairs:
+        if not correlations.has_pair(a, b):
+            raise MissingPair(f"missing correlation for pair ({a}, {b})")
+
+
 def jsonable(value: Any) -> Any:
     """Plain JSON types: string keys, lists for tuples, Python scalars for numpy ones."""
     if isinstance(value, Mapping):
@@ -101,12 +117,9 @@ class ChshInput:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_block", tuple(self.a_block))
         object.__setattr__(self, "b_block", tuple(self.b_block))
-        ids = self.a_block + self.b_block
-        if len(set(ids)) != 4:
+        if len(set(self.a_block + self.b_block)) != 4:
             raise ContexcertError("CHSH blocks must name four distinct observables")
-        for a, b in self.term_pairs:
-            if not self.correlations.has_pair(a, b):
-                raise MissingPair(f"missing correlation for pair ({a}, {b})")
+        _require_pairs(self.correlations, self.term_pairs)
 
     @property
     def term_pairs(self) -> tuple[tuple[str, str], ...]:
@@ -126,10 +139,7 @@ def chsh_value(chsh: ChshInput, sign_position: int = 4) -> float:
     """
     if sign_position not in (1, 2, 3, 4):
         raise ContexcertError(f"sign_position must be 1..4, got {sign_position}")
-    values = chsh.term_values()
-    return math.fsum(
-        -v if i + 1 == sign_position else v for i, v in enumerate(values)
-    )
+    return math.fsum(-v if i == sign_position else v for i, v in enumerate(chsh.term_values(), 1))
 
 
 def chsh_max(chsh: ChshInput) -> float:
@@ -142,26 +152,15 @@ def chsh_max(chsh: ChshInput) -> float:
 
 
 def chsh_test(chsh: ChshInput, tolerance: float = 0.0) -> TestVerdict:
-    if tolerance < 0:
-        raise ContexcertError("tolerance must be >= 0")
+    require_nonnegative(tolerance, "tolerance")
     statistic = chsh_max(chsh)
-    violated = statistic > 2.0 + tolerance
     details = {
         "term_pairs": [list(p) for p in chsh.term_pairs],
         "term_values": list(chsh.term_values()),
-        "values_by_sign_position": {
-            str(k): chsh_value(chsh, k) for k in (1, 2, 3, 4)
-        },
+        "values_by_sign_position": {str(k): chsh_value(chsh, k) for k in (1, 2, 3, 4)},
         "tolerance": tolerance,
     }
-    return TestVerdict(
-        test_name="chsh",
-        statistic=statistic,
-        bound=2.0,
-        outcome=Outcome.PASSED_CONTEXTUALITY_TEST if violated else Outcome.REJECTED_NONCONTEXTUAL,
-        margin=statistic - 2.0,
-        details=details,
-    )
+    return _verdict("chsh", statistic, 2.0, statistic > 2.0 + tolerance, statistic - 2.0, details)
 
 
 def chsh_ksigma(chsh: ChshInput, k: float) -> float:
@@ -191,9 +190,8 @@ class TripleInput:
         object.__setattr__(self, "triple", tuple(self.triple))
         if len(set(self.triple)) != 3:
             raise ContexcertError("triple must name three distinct observables")
-        for a, b in self.pairs:
-            if not self.correlations.has_pair(a, b):
-                raise MissingPair(f"missing correlation for pair ({a}, {b})")
+        require_nonnegative(self.zero_mean_tolerance, "zero_mean_tolerance")
+        _require_pairs(self.correlations, self.pairs)
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -221,8 +219,7 @@ def sz_bounds(c12: float, c23: float, c13: float) -> tuple[float, float]:
 
 def sz_test(triple: TripleInput, tolerance: float = 0.0) -> TestVerdict:
     """Two-sided test of the zero-mean triple-JPD existence condition."""
-    if tolerance < 0:
-        raise ContexcertError("tolerance must be >= 0")
+    require_nonnegative(tolerance, "tolerance")
     worst_mean = triple.require_zero_mean()
     values = triple.pair_values()
     statistic = math.fsum(values)
@@ -241,14 +238,7 @@ def sz_test(triple: TripleInput, tolerance: float = 0.0) -> TestVerdict:
         "max_abs_mean": worst_mean,
         "tolerance": tolerance,
     }
-    return TestVerdict(
-        test_name="suppes-zanotti",
-        statistic=statistic,
-        bound=bound,
-        outcome=Outcome.PASSED_CONTEXTUALITY_TEST if violated else Outcome.REJECTED_NONCONTEXTUAL,
-        margin=margin,
-        details=details,
-    )
+    return _verdict("suppes-zanotti", statistic, bound, violated, margin, details)
 
 
 def sz_ksigma(triple: TripleInput, k: float) -> float:
@@ -275,21 +265,15 @@ def original_bell_test(
     additional A1 -> -A1 flip: its lower side (-1 <= sum) is exactly
     statistic <= 1, and its upper side is reported for completeness.
     """
-    if tolerance < 0:
-        raise ContexcertError("tolerance must be >= 0")
-    if delta < 0:
-        raise ContexcertError("delta must be >= 0")
-    for pair in ((a1, b1), (a1, b2), (a2, b2), (a2, b1)):
-        if not correlations.has_pair(*pair):
-            raise MissingPair(f"missing correlation for pair {pair}")
+    require_nonnegative(tolerance, "tolerance")
+    require_nonnegative(delta, "delta")
+    _require_pairs(correlations, ((a1, b1), (a1, b2), (a2, b2), (a2, b1)))
 
     constraint_value = correlations.value(a2, b1)
     if constraint_value >= 1.0 - delta:
-        branch = "correlation"
-        sign = 1.0
+        branch, sign = "correlation", 1.0
     elif constraint_value <= -1.0 + delta:
-        branch = "anti-correlation"
-        sign = -1.0
+        branch, sign = "anti-correlation", -1.0
     else:
         raise CorrelationConstraintUnmet(
             f"<{a2} {b1}> = {constraint_value:g} is not within {delta:g} of +-1; "
@@ -332,14 +316,7 @@ def original_bell_test(
         },
         "tolerance": tolerance,
     }
-    return TestVerdict(
-        test_name="bell-original",
-        statistic=statistic,
-        bound=1.0,
-        outcome=Outcome.PASSED_CONTEXTUALITY_TEST if violated else Outcome.REJECTED_NONCONTEXTUAL,
-        margin=statistic - 1.0,
-        details=details,
-    )
+    return _verdict("bell-original", statistic, 1.0, violated, statistic - 1.0, details)
 
 
 def original_bell_ksigma(
@@ -348,9 +325,7 @@ def original_bell_ksigma(
     return _sum_ksigma(correlations, ((a1, b1), (a1, b2), (a2, b2)), k)
 
 
-def original_bell_singlet_maximum(
-    step: float = 0.001, chunk: int = 512
-) -> tuple[float, tuple[float, float, float, float]]:
+def original_bell_singlet_maximum(step: float = 0.001) -> tuple[float, tuple[float, ...]]:
     """Grid-search the singlet statistic under the precise anti-correlation
     constraint.
 
@@ -363,6 +338,7 @@ def original_bell_singlet_maximum(
     cos_grid = np.cos(grid)
     best = -math.inf
     best_angles = (0.0, 0.0, 0.0, 0.0)
+    chunk = 512  # rows of the (a1, b2) grid per vectorized block
     # statistic = -(cos u + cos w + cos(u + w)) with u = a1, w = -b2
     for start in range(0, grid.size, chunk):
         u = grid[start : start + chunk]
@@ -374,7 +350,5 @@ def original_bell_singlet_maximum(
         idx = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[idx] > best:
             best = float(vals[idx])
-            a1 = float(u[idx[0]])
-            b2 = float(-grid[idx[1]] % (2.0 * math.pi))
-            best_angles = (a1, 0.0, 0.0, b2)
+            best_angles = (float(u[idx[0]]), 0.0, 0.0, float(-grid[idx[1]] % (2.0 * math.pi)))
     return best, best_angles

@@ -43,7 +43,7 @@ from .quantumgen import (
     sphere_lhv_model,
 )
 from .randomtests import PlaceSelection, randomness_test
-from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_test
+from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_test, stream_key
 from .tolerances import parse_number, parse_policy
 
 SEED_ENV = "CONTEXCERT_SEED"
@@ -247,7 +247,7 @@ def cmd_randomness(args) -> None:
     elif args.data and args.scenario and args.setting and args.observable:
         dataset = ingest(args.data, args.scenario)
         canonical = dataset.scenario.canonical_setting(args.setting.split("+"))
-        key = f"{args.observable}@{'+'.join(canonical)}"
+        key = stream_key(args.observable, canonical)
         streams = extract_streams(dataset)
         if key not in streams:
             raise ContexcertError(f"stream {key} not present in the dataset")

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -181,12 +181,12 @@ def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:
     return dataset
 
 
-def read_label_stream(path: str | Path, labels: Iterable | None = None) -> LabelSequence:
+def read_label_stream(path: str | Path) -> LabelSequence:
     """One symbol per line; integers are parsed, anything else stays a string."""
     values = [_parse_value(line) for line in Path(path).read_text().splitlines() if line.strip()]
     if not values:
         raise ParseError("stream contains no symbols", line=1)
-    return LabelSequence.from_values(values, tuple(labels) if labels is not None else None)
+    return LabelSequence.from_values(values)
 
 
 def _json_field(data: dict, field: str, kind: type, what: str) -> Any:
@@ -206,7 +206,7 @@ def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
     probs = {}
     # Fraction(str(p)) reads the decimal literal exactly (0.1 -> 1/10), which
     # is what exact mode needs from hand-written JSON
-    number = (lambda p: Fraction(str(p))) if exact or data.get("exact") else float
+    number = (lambda p: Fraction(str(p))) if exact else float
     for key, p in _json_field(data, "probs", dict, "an object of cell probabilities").items():
         cell = tuple(_parse_value(tok) for tok in str(key).split(","))
         probs[cell] = json_number(number, p, "constraint")

@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import _simplex
-from .belltests import ChshInput, TripleInput, chsh_max
+from .belltests import ChshInput, Outcome, TripleInput, chsh_test
 from .errors import ContexcertError
 from .scenario import DICHOTOMIC, ProbTable, cell_index
 from .tolerances import require_nonnegative
@@ -339,5 +339,5 @@ def triple_jpd_feasible(
 def fine_equivalence_check(chsh: ChshInput, tolerance: float = FEASIBILITY_TOL) -> bool:
     """True iff LP feasibility and the permutation-maximum inequality agree."""
     result = jpd_feasible(quadrupole_system_from_chsh(chsh), feasibility_tol=tolerance)
-    violated = chsh_max(chsh) > 2 + tolerance
+    violated = chsh_test(chsh, tolerance).outcome is Outcome.PASSED_CONTEXTUALITY_TEST
     return result.feasible != violated

@@ -107,11 +107,11 @@ class ProjectiveObservable:
         return DICHOTOMIC
 
 
-def commute(x: ProjectiveObservable, y: ProjectiveObservable, tol: float = COMMUTATOR_TOL) -> bool:
+def commute(x: ProjectiveObservable, y: ProjectiveObservable) -> bool:
     """Whether every projector of x commutes with every projector of y."""
     for p in x.projectors.values():
         for q in y.projectors.values():
-            if np.max(np.abs(p @ q - q @ p)) > tol:
+            if np.max(np.abs(p @ q - q @ p)) > COMMUTATOR_TOL:
                 return False
     return True
 

@@ -26,6 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,7 +105,8 @@ class PlaceSelection:
     """A retain/reject rule for position n using only n and the prefix.
 
     Decisions never read the value at n or beyond; the built-ins satisfy
-    this structurally, custom predicates receive only the prefix.
+    this structurally, custom predicates receive only the prefix, as a
+    read-only :class:`Prefix` view.
     """
 
     kind: str
@@ -160,6 +162,36 @@ class PlaceSelection:
         return cls(kind="custom", predicate=predicate, description=description)
 
 
+class Prefix(Sequence):
+    """``values[:length]`` as a read-only view, so that a custom selection's
+    predicate copies no prefix.  ``len``, indexing, slicing (to a tuple),
+    iteration, ``in``, ``count``, ``index``, ``==`` and ``hash`` answer as
+    that tuple would; ``tuple(prefix)`` makes the tuple."""
+
+    __slots__ = ("_values", "_length")
+
+    def __init__(self, values: tuple, length: int) -> None:
+        self._values, self._length = values, length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        positions = range(self._length)[index]  # a negative index counts from the prefix's end
+        if isinstance(index, slice):
+            return tuple(map(self._values.__getitem__, positions))
+        return self._values[positions]
+
+    def __iter__(self):
+        return islice(self._values, self._length)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, Prefix)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 def _is_integer(value) -> bool:
     """An integer that is not a ``bool``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -207,11 +239,8 @@ def selection_mask(seq: LabelSequence, sel: PlaceSelection) -> np.ndarray:
     if sel.kind == "custom":
         if sel.predicate is None:
             raise ContexcertError("custom selection needs a predicate")
-        values = seq.values
-        out = np.zeros(n, dtype=bool)
-        for i in range(n):
-            out[i] = bool(sel.predicate(i + 1, values[:i]))
-        return out
+        keep, values = sel.predicate, seq.values
+        return np.fromiter((bool(keep(i + 1, Prefix(values, i))) for i in range(n)), bool, n)
     raise ContexcertError(f"unknown selection kind {sel.kind!r}")
 
 
@@ -317,6 +346,8 @@ def randomness_test(
     """
     if not selections:
         raise ContexcertError("need at least one selection")
+    if not _is_integer(min_retained):
+        raise ContexcertError(f"min_retained must be an integer, got {min_retained!r}")
     if min_retained < 30:
         raise ContexcertError("min_retained must be at least 30")
     overall = frequencies(seq)
@@ -329,31 +360,18 @@ def randomness_test(
         counts = np.bincount(seq.codes + k * mask, minlength=2 * k)[k:]
         retained = int(counts.sum())
         if retained < min_retained:
-            results.append(
-                SelectionResult(sel.description, retained, {}, 0.0, 0.0, "inconclusive")
-            )
+            results.append(SelectionResult(sel.description, retained, {}, 0.0, 0.0, "inconclusive"))
             continue
         sel_freqs = {label: counts[i] / retained for i, label in enumerate(seq.labels)}
-        deviations = {
-            label: abs(sel_freqs[label] - overall[label]) for label in seq.labels
-        }
+        deviations = {label: abs(sel_freqs[label] - overall[label]) for label in seq.labels}
         max_dev = max(deviations.values())
         tols = {
-            label: resolve_tolerance(
-                policy, lambda k: k * binomial_sigma(overall[label], retained)
-            )
+            label: resolve_tolerance(policy, lambda k: k * binomial_sigma(overall[label], retained))
             for label in seq.labels
         }
-        deviant = any(deviations[l] > tols[l] for l in seq.labels)
+        status = "deviant" if any(deviations[l] > tols[l] for l in seq.labels) else "ok"
         results.append(
-            SelectionResult(
-                sel.description,
-                retained,
-                sel_freqs,
-                max_dev,
-                min(tols.values()),
-                "deviant" if deviant else "ok",
-            )
+            SelectionResult(sel.description, retained, sel_freqs, max_dev, min(tols.values()), status)
         )
     if all(r.status == "inconclusive" for r in results):
         raise AllSelectionsInconclusive(
@@ -371,6 +389,6 @@ def randomness_test(
         overall_freq=overall,
         per_selection=tuple(results),
         tolerance_policy=policy.describe(),
-        min_retained=min_retained,
+        min_retained=int(min_retained),  # a numpy integer would not reach JSON
         notes=tuple(notes),
     )

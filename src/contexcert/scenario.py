@@ -465,13 +465,15 @@ class CorrelationSet:
         object.__setattr__(self, "means", dict(self.means))
         object.__setattr__(self, "sample_sizes", {frozenset(k): int(v) for k, v in dict(self.sample_sizes).items()})
         object.__setattr__(self, "mean_candidates", {k: tuple(v) for k, v in dict(self.mean_candidates).items()})
+        # written as "not <=" so that NaN, which compares false, is refused too
         for key, value in entries.items():
             if len(key) != 2:
                 raise ContexcertError(f"correlation key {set(key)} must contain two observables")
-            if abs(value) > 1 + 1e-12:
+            if not abs(value) <= 1 + 1e-12:
                 raise ContexcertError(f"correlation {value!r} outside [-1, 1]")
-        for obs, m in self.means.items():
-            if abs(m) > 1 + 1e-12:
+        candidates = [(obs, m) for obs, found in self.mean_candidates.items() for _, m in found]
+        for obs, m in [*self.means.items(), *candidates]:
+            if not abs(m) <= 1 + 1e-12:
                 raise ContexcertError(f"mean {m!r} of {obs} outside [-1, 1]")
 
     def value(self, a: str, b: str) -> float:

@@ -245,6 +245,11 @@ def default_battery(seq: LabelSequence, coin_seed: int) -> list[PlaceSelection]:
     ]
 
 
+def stream_key(observable: str, canonical_setting: tuple[str, ...]) -> str:
+    """``"X@A+B"``: observable X's stream in the canonical setting (A, B)."""
+    return f"{observable}@{'+'.join(canonical_setting)}"
+
+
 def extract_streams(dataset: Dataset) -> dict[str, LabelSequence]:
     """Per-(setting, observable) outcome streams, in acquisition order.
 
@@ -253,10 +258,10 @@ def extract_streams(dataset: Dataset) -> dict[str, LabelSequence]:
     """
     columns: dict[str, tuple[tuple, list]] = {}
     for setting, codes in dataset.code_blocks:
-        key_base = "+".join(dataset.scenario.canonical_setting(setting))
+        canonical = dataset.scenario.canonical_setting(setting)
         alphabets = dataset.scenario.alphabets(setting)
         for obs, alphabet, column in zip(setting, alphabets, codes.T):
-            columns.setdefault(f"{obs}@{key_base}", (alphabet, []))[1].append(column)
+            columns.setdefault(stream_key(obs, canonical), (alphabet, []))[1].append(column)
     return {
         key: LabelSequence.from_codes(alphabet, np.concatenate(parts))
         for key, (alphabet, parts) in sorted(columns.items())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contexcert.belltests import (
     ChshInput,
@@ -9,6 +11,7 @@ from contexcert.belltests import (
     MissingPair,
     MissingSampleSizes,
     Outcome,
+    TestVerdict as _TestVerdict,
     TripleInput,
     ZeroMeanViolated,
     chsh_ksigma,
@@ -311,3 +314,225 @@ class TestOriginalBell:
         assert data["test"] == "bell-original"
         assert data["outcome"] == "rejected_noncontextual"
         assert data["details"]["constraint_pair"] == ["A2", "B1"]
+
+
+# ------------------------------------------------------------ references
+# The three tests as they were before they shared _verdict, _require_pairs
+# and require_nonnegative: each wrote its own polarity, pair loop and
+# tolerance check.  The new tests must give the same verdict JSON.
+
+
+def _reference_chsh_value(chsh, sign_position=4):
+    values = chsh.term_values()
+    return math.fsum(-v if i + 1 == sign_position else v for i, v in enumerate(values))
+
+
+def _reference_chsh_test(chsh, tolerance=0.0):
+    if tolerance < 0:
+        raise ContexcertError("tolerance must be >= 0")
+    statistic = max(abs(_reference_chsh_value(chsh, k)) for k in (1, 2, 3, 4))
+    violated = statistic > 2.0 + tolerance
+    details = {
+        "term_pairs": [list(p) for p in chsh.term_pairs],
+        "term_values": list(chsh.term_values()),
+        "values_by_sign_position": {
+            str(k): _reference_chsh_value(chsh, k) for k in (1, 2, 3, 4)
+        },
+        "tolerance": tolerance,
+    }
+    return _TestVerdict(
+        test_name="chsh",
+        statistic=statistic,
+        bound=2.0,
+        outcome=Outcome.PASSED_CONTEXTUALITY_TEST if violated else Outcome.REJECTED_NONCONTEXTUAL,
+        margin=statistic - 2.0,
+        details=details,
+    )
+
+
+def _reference_sz_test(triple, tolerance=0.0):
+    if tolerance < 0:
+        raise ContexcertError("tolerance must be >= 0")
+    worst_mean = triple.require_zero_mean()
+    values = triple.pair_values()
+    statistic = math.fsum(values)
+    lower, upper = sz_bounds(*values)
+    over = statistic - upper
+    under = lower - statistic
+    margin = max(over, under)
+    violated = margin > tolerance
+    bound = upper if over >= under else lower
+    details = {
+        "pairs": [list(p) for p in triple.pairs],
+        "correlations": list(values),
+        "lower_bound": lower,
+        "upper_bound": upper,
+        "violated_side": ("upper" if over >= under else "lower") if violated else None,
+        "max_abs_mean": worst_mean,
+        "tolerance": tolerance,
+    }
+    return _TestVerdict(
+        test_name="suppes-zanotti",
+        statistic=statistic,
+        bound=bound,
+        outcome=Outcome.PASSED_CONTEXTUALITY_TEST if violated else Outcome.REJECTED_NONCONTEXTUAL,
+        margin=margin,
+        details=details,
+    )
+
+
+def _reference_original_bell_test(
+    correlations, a1="A1", a2="A2", b1="B1", b2="B2", delta=0.01, tolerance=0.0
+):
+    if tolerance < 0:
+        raise ContexcertError("tolerance must be >= 0")
+    if delta < 0:
+        raise ContexcertError("delta must be >= 0")
+    for pair in ((a1, b1), (a1, b2), (a2, b2), (a2, b1)):
+        if not correlations.has_pair(*pair):
+            raise MissingPair(f"missing correlation for pair {pair}")
+
+    constraint_value = correlations.value(a2, b1)
+    if constraint_value >= 1.0 - delta:
+        branch = "correlation"
+        sign = 1.0
+    elif constraint_value <= -1.0 + delta:
+        branch = "anti-correlation"
+        sign = -1.0
+    else:
+        raise CorrelationConstraintUnmet(
+            f"<{a2} {b1}> = {constraint_value:g} is not within {delta:g} of +-1; "
+            "the derivation's crucial condition fails"
+        )
+
+    c11 = correlations.value(a1, b1)
+    c12 = correlations.value(a1, b2)
+    c22 = correlations.value(a2, b2)
+    statistic = c11 + c12 - sign * c22
+    violated = statistic > 1.0 + tolerance
+
+    flipped = (-c11, -c12, sign * c22)
+    f_sum = math.fsum(flipped)
+    f_lower, f_upper = sz_bounds(*flipped)
+    details = {
+        "constraint_pair": [a2, b1],
+        "constraint_value": constraint_value,
+        "constraint_note": (
+            "the inequality itself does not use this pair, but checking the "
+            "precise-correlation condition requires its joint table"
+        ),
+        "delta": delta,
+        "branch": branch,
+        "terms": {
+            f"{a1},{b1}": c11,
+            f"{a1},{b2}": c12,
+            f"{a2},{b2}": c22,
+        },
+        "sign_flipped_triple": {
+            "correlations": list(flipped),
+            "sum": f_sum,
+            "lower_bound": f_lower,
+            "upper_bound": f_upper,
+            "lower_side_violated": f_sum < f_lower - tolerance,
+            "upper_side_violated": f_sum > f_upper + tolerance,
+        },
+        "tolerance": tolerance,
+    }
+    return _TestVerdict(
+        test_name="bell-original",
+        statistic=statistic,
+        bound=1.0,
+        outcome=Outcome.PASSED_CONTEXTUALITY_TEST if violated else Outcome.REJECTED_NONCONTEXTUAL,
+        margin=statistic - 1.0,
+        details=details,
+    )
+
+
+# the 1/20 grid, the boundary values and uniform floats, all within
+# CorrelationSet's [-1 - 1e-12, 1 + 1e-12]
+correlations_ = st.one_of(
+    st.integers(-20, 20).map(lambda k: k / 20),
+    st.sampled_from([-1.0, 1.0, 0.0, -0.0, 1 + 1e-12, -1 - 1e-12, 1 - 2**-53, 0.5]),
+    st.floats(-1.0, 1.0),
+)
+tolerances_ = st.sampled_from([0.0, 1e-9, 0.05])
+
+
+def _outcome(run):
+    try:
+        return run().to_json()
+    except ContexcertError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneVerdictPath:
+    """The three tests against their references: the same verdict JSON, and
+    PASSED exactly when the test's own inequality expression holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.tuples(*[correlations_] * 4), tolerance=tolerances_)
+    def test_chsh(self, c, tolerance):
+        inp = chsh_input(*c)
+        verdict = chsh_test(inp, tolerance)
+        assert verdict.to_json() == _reference_chsh_test(inp, tolerance).to_json()
+        passed = verdict.outcome is Outcome.PASSED_CONTEXTUALITY_TEST
+        assert passed == (chsh_max(inp) > 2.0 + tolerance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.tuples(*[correlations_] * 3), tolerance=tolerances_)
+    def test_sz(self, c, tolerance):
+        inp = triple_input(*c)
+        verdict = sz_test(inp, tolerance)
+        assert verdict.to_json() == _reference_sz_test(inp, tolerance).to_json()
+        statistic = math.fsum(c)
+        lower, upper = sz_bounds(*c)
+        passed = verdict.outcome is Outcome.PASSED_CONTEXTUALITY_TEST
+        assert passed == (max(statistic - upper, lower - statistic) > tolerance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.tuples(correlations_, correlations_, correlations_),
+        constraint=st.one_of(correlations_, st.sampled_from([1.0, -1.0, 0.995, -0.995])),
+        delta=st.sampled_from([0.0, 0.01, 0.05]),
+        tolerance=tolerances_,
+    )
+    def test_original_bell(self, c, constraint, delta, tolerance):
+        c11, c12, c22 = c
+        corr = bell_correlations(c11, c12, constraint, c22)
+        run = lambda test: lambda: test(corr, delta=delta, tolerance=tolerance)  # noqa: E731
+        result = _outcome(run(original_bell_test))
+        assert result == _outcome(run(_reference_original_bell_test))
+        if isinstance(result, dict):
+            sign = 1.0 if constraint >= 1.0 - delta else -1.0
+            passed = result["outcome"] == Outcome.PASSED_CONTEXTUALITY_TEST.value
+            assert passed == (c11 + c12 - sign * c22 > 1.0 + tolerance)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNumbersRefused:
+    @pytest.mark.parametrize("tolerance", NON_FINITE + [-0.1])
+    def test_tolerance_on_every_test(self, tolerance):
+        with pytest.raises(ContexcertError, match="tolerance must be finite and >= 0"):
+            chsh_test(chsh_input(1, 1, 1, -1), tolerance)
+        with pytest.raises(ContexcertError, match="tolerance must be finite and >= 0"):
+            sz_test(triple_input(-1, -1, -1), tolerance)
+        with pytest.raises(ContexcertError, match="tolerance must be finite and >= 0"):
+            original_bell_test(bell_correlations(1, 1, 1, -1), delta=0.0, tolerance=tolerance)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1])
+    def test_delta(self, delta):
+        with pytest.raises(ContexcertError, match="delta must be finite and >= 0"):
+            original_bell_test(bell_correlations(1, 1, 1, -1), delta=delta)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
+    def test_zero_mean_tolerance(self, tol):
+        # a NaN tolerance once let a triple with |mean| 0.9 through the gate
+        with pytest.raises(ContexcertError, match="zero_mean_tolerance must be finite and >= 0"):
+            triple_input(-1, -1, -1, means=(0.9, 0.0, 0.0), tol=tol)
+
+    def test_missing_pair_names_the_pair(self):
+        corr = CorrelationSet(entries={frozenset(("A1", "B1")): 0.0})
+        with pytest.raises(MissingPair, match=r"^missing correlation for pair \(A1, B2\)$"):
+            original_bell_test(corr)

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from contexcert.randomtests import (
     EmptySelection,
     LabelSequence,
     PlaceSelection,
+    Prefix,
     RandomnessReport,
     SelectionResult,
     UnknownLabel,
@@ -155,6 +158,24 @@ class TestApplySelection:
         with pytest.raises(EmptySelection):
             apply_selection(seq, PlaceSelection.prime_index())
 
+    def test_custom_prefix_is_a_view(self):
+        seen = []
+        sel = PlaceSelection.custom(lambda n, prefix: seen.append(prefix) or True, "all")
+        selection_mask(LabelSequence((0, 1), (1, 0, 1)), sel)
+        assert [len(p) for p in seen] == [0, 1, 2]
+        prefix = seen[2]
+        assert not isinstance(prefix, tuple)
+        assert prefix == (1, 0) and (1, 0) == prefix and prefix != (1, 0, 1)
+        assert prefix == Prefix((1, 0, 7), 2) and hash(prefix) == hash((1, 0))
+        assert prefix[-1] == 0 and prefix[:5] == (1, 0) and prefix[::-1] == (0, 1)
+        for bad in (2, -3):
+            with pytest.raises(IndexError):
+                prefix[bad]
+        with pytest.raises(TypeError):
+            prefix[1.0]
+        with pytest.raises(ValueError):
+            prefix.index(7)
+
     def test_custom_prefix_only(self):
         # retain when the prefix contains an even number of ones
         sel = PlaceSelection.custom(
@@ -258,6 +279,19 @@ class TestRandomnessTest:
     def test_min_retained_floor(self):
         with pytest.raises(ContexcertError):
             randomness_test(alternating(100), BATTERY, min_retained=10)
+
+    @pytest.mark.parametrize("min_retained", [math.nan, math.inf, 30.0, "30", True])
+    def test_min_retained_must_be_an_integer(self, min_retained):
+        # NaN once passed the floor, and then no selection counted as too
+        # small: one that retained a single symbol was judged "ok"
+        seq = coin_sequence(200, seed=3)
+        single = PlaceSelection.index_arithmetic(1000, 1)
+        with pytest.raises(ContexcertError):
+            randomness_test(seq, [single, PlaceSelection.prime_index()], min_retained=min_retained)
+
+    def test_numpy_integer_min_retained_reaches_json(self):
+        report = randomness_test(coin_sequence(200, seed=3), BATTERY, min_retained=np.int64(30))
+        assert json.loads(json.dumps(report.to_json()))["min_retained"] == 30
 
 
 # ------------------------------------------------------------ references
@@ -421,3 +455,65 @@ class TestCountingMatchesReference:
             profile = stabilization_profile(seq, label, checkpoints)
             expected = _reference_profile(seq, label, checkpoints)
             assert profile == expected and repr(profile) == repr(expected)
+
+
+# ------------------------------------------------------------ custom selections
+# A custom predicate once received values[:i], a fresh tuple per position,
+# which made the mask O(n^2).  The reference below still passes that copy.
+
+
+def _reference_custom_mask(seq, predicate):
+    values = seq.values
+    return [bool(predicate(i + 1, values[:i])) for i in range(len(seq))]
+
+
+def _prefix_predicates(first, second):
+    """Predicates that each read the prefix through one tuple operation."""
+
+    def index_of_first(n, p):
+        try:
+            return p.index(first, 1) % 2 == 0
+        except ValueError:
+            return n % 2 == 0
+
+    return {
+        "len": lambda n, p: len(p) % 3 == 0,
+        "index": lambda n, p: len(p) > 1 and p[-2] == first and p[len(p) // 2] != second,
+        "slice": lambda n, p: p[-3:] == (first,) * min(3, len(p)) or p[1:4:2] == (second, first),
+        "reverse slice": lambda n, p: p[::-2][:2] == (second, second),
+        "slice type": lambda n, p: type(p[-2:]) is tuple and p[-2:] in {(first, second), (second,)},
+        "iterate": lambda n, p: sum(1 for v in p if v == first) % 2 == 0,
+        "reversed": lambda n, p: next(reversed(p), None) == second,
+        "in": lambda n, p: second in p[-4:] and first in p,
+        "count": lambda n, p: p.count(first) > p.count(second),
+        "index method": index_of_first,
+        "equal": lambda n, p: p == (first,) * len(p) or (second, first) == p[-2:],
+        "hash": lambda n, p: {(): 0, (first,): 1, (first, first): 2}.get(p, 3) > 1,
+        "list": lambda n, p: list(p)[-1:] == [first] and tuple(p) != (first,),
+    }
+
+
+class TestCustomPrefix:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([1, -1, 0, "a"]), min_size=1, max_size=120),
+        data=st.data(),
+    )
+    def test_masks_equal_the_tuple_copy(self, values, data):
+        seq = LabelSequence.from_values(values)
+        first = data.draw(st.sampled_from(seq.labels))
+        second = data.draw(st.sampled_from(seq.labels))
+        for name, predicate in _prefix_predicates(first, second).items():
+            mask = selection_mask(seq, PlaceSelection.custom(predicate, name))
+            assert mask.dtype == bool
+            assert mask.tolist() == _reference_custom_mask(seq, predicate), name
+
+    def test_forty_thousand_symbols_in_under_a_second(self):
+        seq = coin_sequence(40_000, seed=5)
+        sel = PlaceSelection.custom(lambda n, p: len(p) > 2 and p[-3:] == (1, 1, 1), "after 111")
+        start = time.perf_counter()
+        mask = selection_mask(seq, sel)
+        elapsed = time.perf_counter() - start
+        values = seq.values
+        assert mask.tolist() == [values[i - 3 : i] == (1, 1, 1) for i in range(len(values))]
+        assert elapsed < 1.0

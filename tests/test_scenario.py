@@ -307,6 +307,20 @@ class TestCorrelationSet:
         assert len(cs.mean_candidates["A"]) == 2
         assert cs.means["A"] == 1.0  # first table encountered wins
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5])
+    def test_non_finite_or_out_of_range_refused(self, value):
+        # a NaN correlation once reached chsh_test as a NaN statistic and
+        # dumps_json wrote it as NaN, which is not JSON
+        key = frozenset(("A", "B"))
+        with pytest.raises(ContexcertError, match="outside"):
+            CorrelationSet(entries={key: value})
+        with pytest.raises(ContexcertError, match="outside"):
+            CorrelationSet(entries={key: 0.0}, means={"A": value})
+        with pytest.raises(ContexcertError, match="outside"):
+            CorrelationSet(
+                entries={key: 0.0}, means={"A": 0.0}, mean_candidates={"A": ((key, value),)}
+            )
+
 
 class TestTableInvariants:
     def test_normalization_enforced(self):
