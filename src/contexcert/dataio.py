@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .scenario import (
 )
 
 CSV_HEADER = "setting;outcomes"
+PIECE_CHARS = 1 << 16  # characters read at a time; far larger pieces raise the peak memory
+WRITE_LINES = 1 << 14  # lines joined into one write
 
 
 class ParseError(ContexcertError):
@@ -96,21 +98,24 @@ def write_scenario_json(scenario: Scenario, path: str | Path) -> None:
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """One line per record, picked by :func:`cell_index` from the setting's
-    lines formatted once per outcome cell; text that would not read back raises."""
-    lines = [CSV_HEADER]
+    lines formatted once per outcome cell; text that would not read back raises
+    before the file is opened.  Each block is written in runs of ``WRITE_LINES``."""
     texts: dict[tuple[str, ...], np.ndarray] = {}
-    for setting, codes in dataset.code_blocks:
-        alphabets = dataset.scenario.alphabets(setting)
+    for setting, _ in dataset.code_blocks:
         if setting not in texts:
             prefix = "+".join(_token(obs, "its id", obs, str.strip, "+;") for obs in setting)
             tokens = [
                 [_token(obs, f"outcome {value!r}", value, _parse_value, ",;") for value in alphabet]
-                for obs, alphabet in zip(setting, alphabets)
+                for obs, alphabet in zip(setting, dataset.scenario.alphabets(setting))
             ]
-            texts[setting] = np.asarray([f"{prefix};{','.join(c)}" for c in product(*tokens)], dtype=object)
-        cells = cell_index(codes, [len(a) for a in alphabets], range(len(setting)))
-        lines.extend(texts[setting][cells].tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+            texts[setting] = np.asarray([f"{prefix};{','.join(c)}\n" for c in product(*tokens)], dtype=object)
+    with Path(path).open("w") as out:
+        out.write(CSV_HEADER + "\n")
+        for setting, codes in dataset.code_blocks:
+            sizes = [len(a) for a in dataset.scenario.alphabets(setting)]
+            for start in range(0, len(codes), WRITE_LINES):
+                cells = cell_index(codes[start : start + WRITE_LINES], sizes, range(len(setting)))
+                out.write("".join(texts[setting][cells].tolist()))
 
 
 def _token(obs_id: str, what: str, value: Any, read: Any, separators: str) -> str:
@@ -122,17 +127,44 @@ def _token(obs_id: str, what: str, value: Any, read: Any, separators: str) -> st
     return text
 
 
+def _line_lists(path: str | Path) -> Iterator[list[str]]:
+    """The lines of a text file, exactly as ``read_text().splitlines()`` gives
+    them, as one list per piece of about ``PIECE_CHARS`` characters.  A piece is
+    cut after its last ``"\\n"``, so no line break is split between two pieces."""
+    with Path(path).open() as f:
+        rest = ""
+        while piece := f.read(PIECE_CHARS):
+            cut = piece.rfind("\n") + 1
+            if cut:
+                yield (rest + piece[:cut]).splitlines()
+                rest = piece[cut:]
+            else:
+                rest += piece
+        if rest:
+            yield rest.splitlines()
+
+
 def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
-    """Parse and validate a dataset CSV; errors carry line numbers.  Each distinct
-    line is parsed once and each setting's distinct rows are encoded in one call;
-    a block is a run of lines with one setting, cut from the lines' text numbers."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    """Parse and validate a dataset CSV; errors carry line numbers.  The file is
+    read in pieces of about ``PIECE_CHARS`` characters and each piece's lines
+    become text numbers, one per distinct line, so no list of all lines is held.
+    Each distinct line is parsed once and each setting's distinct rows are encoded
+    in one call; a block is a run of lines with one setting, cut from the lines'
+    text numbers."""
+    number: dict[str, int] = {}  # distinct text -> number
+    pieces = []  # the text numbers of each piece's lines
+    for lines in _line_lists(path):
+        if not pieces:  # the first piece starts with the header
+            if lines[0].strip() != CSV_HEADER:
+                raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
+            del lines[0]
+        for raw in dict.fromkeys(lines):
+            number.setdefault(raw, len(number))
+        dtype = np.min_scalar_type(len(number))
+        pieces.append(np.fromiter(map(number.__getitem__, lines), dtype, len(lines)))
+    if not pieces:
         raise ParseError("empty file", line=1)
-    if lines[0].strip() != CSV_HEADER:
-        raise ParseError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
-    number = {raw: i for i, raw in enumerate(dict.fromkeys(lines[1:]))}  # distinct text -> number
-    texts = np.fromiter(map(number.get, lines[1:]), np.min_scalar_type(len(number)), len(lines) - 1)
+    texts = np.concatenate(pieces)
     members: dict[tuple[str, ...], dict[int, list]] = {}  # setting -> {text number: outcomes}
     faults: dict[int, ContexcertError] = {}  # text number -> what is wrong with it
     for raw, i in number.items():
@@ -183,7 +215,7 @@ def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:
 
 def read_label_stream(path: str | Path) -> LabelSequence:
     """One symbol per line; integers are parsed, anything else stays a string."""
-    values = [_parse_value(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    values = [_parse_value(line) for lines in _line_lists(path) for line in lines if line.strip()]
     if not values:
         raise ParseError("stream contains no symbols", line=1)
     return LabelSequence.from_values(values)

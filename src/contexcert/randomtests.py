@@ -331,6 +331,14 @@ class RandomnessReport:
         }
 
 
+def require_min_retained(min_retained) -> None:
+    """Refuse a ``min_retained`` that is not an integer of at least 30."""
+    if not _is_integer(min_retained):
+        raise ContexcertError(f"min_retained must be an integer, got {min_retained!r}")
+    if min_retained < 30:
+        raise ContexcertError("min_retained must be at least 30")
+
+
 def randomness_test(
     seq: LabelSequence,
     selections: Sequence[PlaceSelection],
@@ -346,10 +354,7 @@ def randomness_test(
     """
     if not selections:
         raise ContexcertError("need at least one selection")
-    if not _is_integer(min_retained):
-        raise ContexcertError(f"min_retained must be an integer, got {min_retained!r}")
-    if min_retained < 30:
-        raise ContexcertError("min_retained must be at least 30")
+    require_min_retained(min_retained)
     overall = frequencies(seq)
     k = len(seq.labels)
 

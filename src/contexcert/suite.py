@@ -45,6 +45,7 @@ from .randomtests import (
     LabelSequence,
     PlaceSelection,
     randomness_test,
+    require_min_retained,
     stabilization_profile,
 )
 from .scenario import CorrelationSet, Dataset, NonDichotomous, correlation_set
@@ -70,6 +71,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         require_nonnegative(self.delta, "delta")
         require_nonnegative(self.zero_mean_tolerance, "zero_mean_tolerance")
+        require_min_retained(self.min_retained)
+        # a numpy integer would not reach JSON
+        object.__setattr__(self, "min_retained", int(self.min_retained))
 
     def to_json(self) -> dict:
         return {

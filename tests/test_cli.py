@@ -690,3 +690,14 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["full-suite", "randomness"])
+def test_min_retained_below_30_is_refused_by_both_commands(command, tmp_path, capsys):
+    # full-suite used to exit 0 with every randomness stream skipped
+    csv, scen = generate_singlet(tmp_path, capsys, n=1000)
+    argv = [command, "--data", str(csv), "--scenario", str(scen), "--seed", "1", "--min-retained", "10"]
+    if command == "randomness":
+        argv += ["--setting", "A1+B1", "--observable", "A1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "contexcert: error: min_retained must be at least 30\n")

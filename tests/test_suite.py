@@ -126,6 +126,25 @@ class TestFullSuite:
         assert data["provenance"]["dataset_meta"]["seed"] == 1
 
 
+    @pytest.mark.parametrize(
+        "min_retained, message",
+        [
+            (10, "min_retained must be at least 30"),
+            (math.nan, "min_retained must be an integer, got nan"),
+            (30.0, "min_retained must be an integer, got 30.0"),
+        ],
+    )
+    def test_config_refuses_min_retained(self, min_retained, message):
+        with pytest.raises(ContexcertError) as exc:
+            RunConfig(min_retained=min_retained)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_min_retained_reaches_json(self):
+        config = RunConfig(seed=1, min_retained=np.int64(40))
+        report = run_full_suite(tsirelson_dataset(n=500), config)
+        assert '"min_retained": 40' in dumps_json(report.to_json())
+
+
 class TestExtractStreams:
     @pytest.mark.parametrize("with_a", [False, True])
     def test_observable_id_with_at_sign(self, with_a):
