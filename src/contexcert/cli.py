@@ -42,7 +42,7 @@ from .quantumgen import (
     singlet_state,
     sphere_lhv_model,
 )
-from .randomtests import PlaceSelection, randomness_test
+from .randomtests import PlaceSelection, randomness_test, require_min_retained
 from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_test, stream_key
 from .tolerances import parse_number, parse_policy
 
@@ -197,12 +197,12 @@ def cmd_generate_state_file(args) -> None:
 
 
 def cmd_test(args) -> None:
-    dataset = ingest(args.data, args.scenario)
     config = RunConfig(
         tolerance_policy=parse_policy(args.tolerance_policy),
         delta=args.delta,
         zero_mean_tolerance=args.zero_mean_tolerance,
     )
+    dataset = ingest(args.data, args.scenario)
     which = "suppes-zanotti" if args.which == "sz" else args.which
     run = run_inequality_test(dataset, which, config, args.constraint_pair)
     _emit(run.verdict.to_json(), args, args.out)
@@ -242,6 +242,9 @@ def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
 
 def cmd_randomness(args) -> None:
     seed = _resolve_seed(args.seed)
+    selections = _parse_selections(args.selections, seed)
+    policy = parse_policy(args.policy)
+    require_min_retained(args.min_retained)
     if args.stream:
         seq = read_label_stream(args.stream)
     elif args.data and args.scenario and args.setting and args.observable:
@@ -256,15 +259,12 @@ def cmd_randomness(args) -> None:
         raise ContexcertError(
             "provide --stream, or --data/--scenario/--setting/--observable"
         )
-    selections = _parse_selections(args.selections, seed)
-    policy = parse_policy(args.policy)
     report = randomness_test(seq, selections, policy, args.min_retained)
     _emit(report.to_json(), args, args.out)
 
 
 def cmd_full_suite(args) -> None:
     seed = _resolve_seed(args.seed)
-    dataset = ingest(args.data, args.scenario)
     config = RunConfig(
         tolerance_policy=parse_policy(args.tolerance_policy),
         randomness_policy=parse_policy(args.randomness_policy),
@@ -273,6 +273,7 @@ def cmd_full_suite(args) -> None:
         zero_mean_tolerance=args.zero_mean_tolerance,
         min_retained=args.min_retained,
     )
+    dataset = ingest(args.data, args.scenario)
     report = run_full_suite(dataset, config)
     _emit(report.to_json(), args, args.out)
 

@@ -26,7 +26,6 @@ from .scenario import (
     Observable,
     ProbTable,
     Scenario,
-    cell_index,
     encode_rows,
 )
 
@@ -97,25 +96,22 @@ def write_scenario_json(scenario: Scenario, path: str | Path) -> None:
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    """One line per record, picked by :func:`cell_index` from the setting's
-    lines formatted once per outcome cell; text that would not read back raises
-    before the file is opened.  Each block is written in runs of ``WRITE_LINES``."""
-    texts: dict[tuple[str, ...], np.ndarray] = {}
-    for setting, _ in dataset.code_blocks:
-        if setting not in texts:
-            prefix = "+".join(_token(obs, "its id", obs, str.strip, "+;") for obs in setting)
-            tokens = [
-                [_token(obs, f"outcome {value!r}", value, _parse_value, ",;") for value in alphabet]
-                for obs, alphabet in zip(setting, dataset.scenario.alphabets(setting))
-            ]
-            texts[setting] = np.asarray([f"{prefix};{','.join(c)}\n" for c in product(*tokens)], dtype=object)
+    """One line per record, picked by its cell number from the lines formatted
+    once per cell; text that would not read back raises before the file is
+    opened.  Lines are written in runs of ``WRITE_LINES``."""
+    texts = []
+    for setting in dataset.recorded:
+        prefix = "+".join(_token(obs, "its id", obs, str.strip, "+;") for obs in setting)
+        tokens = [
+            [_token(obs, f"outcome {value!r}", value, _parse_value, ",;") for value in alphabet]
+            for obs, alphabet in zip(setting, dataset.scenario.alphabets(setting))
+        ]
+        texts += [f"{prefix};{','.join(c)}\n" for c in product(*tokens)]
+    texts = np.asarray(texts, dtype=object)
     with Path(path).open("w") as out:
         out.write(CSV_HEADER + "\n")
-        for setting, codes in dataset.code_blocks:
-            sizes = [len(a) for a in dataset.scenario.alphabets(setting)]
-            for start in range(0, len(codes), WRITE_LINES):
-                cells = cell_index(codes[start : start + WRITE_LINES], sizes, range(len(setting)))
-                out.write("".join(texts[setting][cells].tolist()))
+        for start in range(0, len(dataset), WRITE_LINES):
+            out.write("".join(texts[dataset.cells[start : start + WRITE_LINES]].tolist()))
 
 
 def _token(obs_id: str, what: str, value: Any, read: Any, separators: str) -> str:
@@ -149,8 +145,7 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
     read in pieces of about ``PIECE_CHARS`` characters and each piece's lines
     become text numbers, one per distinct line, so no list of all lines is held.
     Each distinct line is parsed once and each setting's distinct rows are encoded
-    in one call; a block is a run of lines with one setting, cut from the lines'
-    text numbers."""
+    in one call; the records' cells are gathered from each text's cell number."""
     number: dict[str, int] = {}  # distinct text -> number
     pieces = []  # the text numbers of each piece's lines
     for lines in _line_lists(path):
@@ -180,27 +175,25 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
         if faults:  # a later text can only be at fault later in the file
             break
         members.setdefault(setting, {})[i] = outcomes
-    setting_of = np.full(len(number), len(members), np.min_scalar_type(len(members)))  # blank: none
-    row_of = np.zeros(len(number), np.min_scalar_type(len(number)))
-    blocks = []  # (setting, code rows) of each setting
-    for k, (setting, rows) in enumerate(members.items()):
-        numbers = list(rows)
-        setting_of[numbers], row_of[numbers] = k, range(len(numbers))
+    coded = []  # (setting, its distinct texts' numbers, their code rows)
+    for setting, rows in members.items():
         try:
-            blocks.append((setting, encode_rows(scenario, setting, list(rows.values()))))
+            coded.append((setting, list(rows), encode_rows(scenario, setting, list(rows.values()))))
         except ContexcertError as exc:  # a setting fault lies in the setting's first row
-            faults[numbers[getattr(exc, "row", 0)]] = exc
+            faults[list(rows)[getattr(exc, "row", 0)]] = exc
     if faults:
         first = min(faults)
         lineno = int(np.argmax(texts == first)) + 2
         if isinstance(faults[first], ParseError):
             raise ParseError(str(faults[first]), line=lineno)
         raise ValidationError(str(faults[first]), index=lineno - 2)
-    texts = texts[setting_of[texts] < len(members)]
     dataset = Dataset(scenario)
-    for run in filter(len, np.split(texts, np.flatnonzero(np.diff(setting_of[texts])) + 1)):
-        setting, codes = blocks[setting_of[run[0]]]
-        dataset.code_blocks.append((setting, codes[row_of[run]]))
+    dataset.number_codes([(setting, codes) for setting, _, codes in coded])  # one record per distinct text
+    numbers = [i for _, rows, _ in coded for i in rows]
+    cell_of = np.zeros(len(number), dataset.cells.dtype)  # text number -> cell
+    filled = np.zeros(len(number), bool)  # blank texts stay False
+    cell_of[numbers], filled[numbers] = dataset.cells, True
+    dataset.cells = cell_of[texts[filled[texts]]]
     return dataset
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
-from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, code_dtype, encode_rows
+from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, cell_index, code_dtype, encode_rows
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
@@ -206,14 +206,11 @@ def singlet_correlation(angle_a: float, angle_b: float) -> float:
 
 
 def _sample_from_table(table: ProbTable, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw over the cells in ``table.cells()`` order, as code rows:
-    a cell's number in that order is its mixed-radix :func:`cell_index`."""
+    """Inverse-CDF draw over the cells in ``table.cells()`` order, as cell
+    numbers: a cell's number in that order is its mixed-radix :func:`cell_index`."""
     cdf = np.cumsum([float(table.prob(cell)) for cell in table.cells()])
     idx = np.searchsorted(cdf, rng.random(count), side="right")
-    np.clip(idx, 0, len(cdf) - 1, out=idx)
-    radices = [len(a) for a in table.alphabets]
-    codes = np.column_stack(np.unravel_index(idx, radices))
-    return codes.astype(code_dtype(radices))
+    return np.clip(idx, 0, len(cdf) - 1, out=idx)
 
 
 def _sample_pairs(
@@ -223,7 +220,7 @@ def _sample_pairs(
     source: str,
     **extra_meta,
 ) -> Dataset:
-    """Code rows ``draw(scenario, index, count, rng)`` of each setting with a positive
+    """The cells ``draw(scenario, index, count, rng)`` of each setting with a positive
     count, ``rng`` being the setting's own stream, plus the reproduction metadata."""
     pairs = [(tuple(pair), count) for pair, count in pairs]
     ids = dict.fromkeys(obs for pair, _ in pairs for obs in pair)
@@ -237,6 +234,10 @@ def _sample_pairs(
         "settings": [{"pair": list(pair), "count": count} for pair, count in pairs],
     }
     dataset = Dataset(scenario, (), meta)
+    dataset.recorded = tuple(dict.fromkeys(pair for pair, count in pairs if count > 0))
+    offsets = dataset.offsets()
+    first, dtype = dict(zip(dataset.recorded, offsets)), code_dtype([offsets[-1]])
+    parts = [np.empty(0, dtype)]
     for index, (pair, count) in enumerate(pairs):
         if count < 0:
             raise ContexcertError("sample count must be >= 0")
@@ -244,7 +245,8 @@ def _sample_pairs(
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
             )
-            dataset.code_blocks.append((pair, draw(scenario, index, count, rng)))
+            parts.append((first[pair] + draw(scenario, index, count, rng)).astype(dtype))
+    dataset.cells = np.concatenate(parts)
     return dataset
 
 
@@ -314,7 +316,7 @@ def sample_lhv_dataset(
         columns = [np.asarray(model.response(obs, lambdas), dtype=np.int64) for obs in pair]
         if any(col.shape != (count,) for col in columns):
             raise ContexcertError("response must return one value per hidden draw")
-        return encode_rows(scenario, pair, np.column_stack(columns))
+        return cell_index(encode_rows(scenario, pair, np.column_stack(columns)), (2, 2), (0, 1))
 
     return _sample_pairs(settings, seed, draw, f"lhv:{model.description}")
 

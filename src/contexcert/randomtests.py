@@ -132,7 +132,7 @@ class PlaceSelection:
 
     @classmethod
     def index_arithmetic(cls, modulus: int, residue: int) -> "PlaceSelection":
-        if not _is_integer(modulus) or not _is_integer(residue):
+        if not is_integer(modulus) or not is_integer(residue):
             raise ContexcertError(
                 f"modulus and residue must be integers, got {modulus!r} and {residue!r}"
             )
@@ -192,7 +192,7 @@ class Prefix(Sequence):
         return hash(tuple(self))
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     """An integer that is not a ``bool``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -272,7 +272,7 @@ def stabilization_profile(
     if label not in seq.labels:
         raise UnknownLabel(f"label {label!r} not in alphabet {seq.labels}")
     checkpoints = list(checkpoints)
-    bad = [c for c in checkpoints if not _is_integer(c)]
+    bad = [c for c in checkpoints if not is_integer(c)]
     if bad:
         raise BadCheckpoints(f"checkpoints must be integers, got {bad[0]!r}")
     if not checkpoints or any(c < 1 or c > len(seq) for c in checkpoints):
@@ -333,7 +333,7 @@ class RandomnessReport:
 
 def require_min_retained(min_retained) -> None:
     """Refuse a ``min_retained`` that is not an integer of at least 30."""
-    if not _is_integer(min_retained):
+    if not is_integer(min_retained):
         raise ContexcertError(f"min_retained must be an integer, got {min_retained!r}")
     if min_retained < 30:
         raise ContexcertError("min_retained must be at least 30")

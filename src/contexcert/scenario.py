@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, product, repeat
+from itertools import accumulate, chain, groupby, product, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import ContexcertError
 DICHOTOMIC = (1, -1)
 
 NORMALIZATION_TOL = 1e-12
+COUNT_CELLS = 1 << 16  # cell numbers counted at a time
 
 
 class UnknownObservable(ContexcertError):
@@ -148,10 +149,9 @@ class OutcomeRecord:
 class Dataset:
     """Ordered joint-outcome records over one scenario.
 
-    Records are stored in contiguous per-setting blocks, ``code_blocks``,
-    each an unsigned integer matrix of alphabet indices (codes) whatever the
-    alphabet's value type, so that counting is one ``np.bincount`` per block.
-    Iteration decodes them to :class:`OutcomeRecord` values in acquisition order.
+    ``recorded`` lists the settings in first-appearance order; ``cells`` holds each
+    record's cell number in acquisition order, in the narrowest unsigned dtype: its
+    setting's first cell (:meth:`offsets`) plus the :func:`cell_index` of its codes.
     """
 
     def __init__(
@@ -162,9 +162,8 @@ class Dataset:
     ) -> None:
         self.scenario = scenario
         self.meta: dict[str, Any] = dict(meta or {})
-        self.code_blocks: list[tuple[tuple[str, ...], np.ndarray]] = []
-        for setting, group in groupby(records, key=lambda rec: rec.setting):
-            self._append(setting, [rec.outcomes for rec in group])
+        runs = groupby(records, key=lambda rec: rec.setting)
+        self.number_codes([(s, encode_rows(scenario, s, [rec.outcomes for rec in run])) for s, run in runs])
 
     @classmethod
     def from_blocks(
@@ -179,30 +178,34 @@ class Dataset:
         scenario's alphabets.
         """
         ds = cls(scenario, (), meta)
-        for setting, rows in blocks:
-            ds._append(tuple(setting), rows)
+        ds.number_codes([(tuple(s), encode_rows(scenario, tuple(s), rows)) for s, rows in blocks])
         return ds
 
-    def _append(self, setting: tuple[str, ...], rows: Any) -> None:
-        codes = encode_rows(self.scenario, setting, rows)
-        if len(codes):
-            self.code_blocks.append((setting, codes))
+    def number_codes(self, coded: Sequence[tuple[tuple[str, ...], np.ndarray]]) -> None:
+        """Set ``recorded`` and ``cells`` from (setting, code rows) blocks in acquisition order."""
+        self.recorded = tuple(dict.fromkeys(s for s, codes in coded if len(codes)))
+        offsets = self.offsets()
+        first, dtype = dict(zip(self.recorded, offsets)), code_dtype([offsets[-1]])
+        parts = [np.empty(0, dtype)]
+        for s, codes in coded:  # an empty block's setting may not be recorded
+            radices = [len(a) for a in self.scenario.alphabets(s)]
+            parts.append((first.get(s, 0) + cell_index(codes, radices, range(len(s)))).astype(dtype))
+        self.cells = np.concatenate(parts)
+
+    def offsets(self) -> list[int]:
+        """Each recorded setting's first cell number, then the total cell count."""
+        return [0, *accumulate(math.prod(map(len, self.scenario.alphabets(s))) for s in self.recorded)]
 
     def __len__(self) -> int:
-        return sum(len(codes) for _, codes in self.code_blocks)
+        return len(self.cells)
 
     def __iter__(self) -> Iterator[OutcomeRecord]:
-        for setting, codes in self.code_blocks:
-            alphabets = self.scenario.alphabets(setting)
-            for row in codes.tolist():
-                yield OutcomeRecord(setting, tuple(map(tuple.__getitem__, alphabets, row)))
+        decoded = [OutcomeRecord(s, v) for s in self.recorded for v in product(*self.scenario.alphabets(s))]
+        return map(decoded.__getitem__, self.cells.tolist())
 
     def settings(self) -> tuple[tuple[str, ...], ...]:
         """Distinct canonical settings in first-appearance order."""
-        seen: dict[tuple[str, ...], None] = {}
-        for setting, _ in self.code_blocks:
-            seen.setdefault(self.scenario.canonical_setting(setting), None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(map(self.scenario.canonical_setting, self.recorded)))
 
 
 def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.ndarray:
@@ -237,9 +240,9 @@ def encode_rows(scenario: Scenario, setting: tuple[str, ...], rows: Any) -> np.n
 
 
 def code_dtype(radices: Iterable[int]) -> np.dtype:
-    """The dtype of a code matrix whose columns have these alphabet sizes:
-    the narrowest unsigned integer that holds the largest code."""
-    return np.min_scalar_type(max(radices) - 1)
+    """The narrowest unsigned dtype for the codes of alphabets of these sizes, or
+    for the cell numbers of a dataset with this many cells."""
+    return np.min_scalar_type(max(*radices, 1) - 1)
 
 
 def _object_matrix(rows: Iterable, width: int) -> np.ndarray:
@@ -369,24 +372,24 @@ def estimate_table(dataset: Dataset, setting: Sequence[str]) -> ProbTable:
     if not scenario.is_compatible(canonical):
         raise IncompatibleSetting(f"setting {tuple(setting)} is not jointly measurable")
     alphabets = scenario.alphabets(canonical)
-    radices = tuple(len(a) for a in alphabets)
-    target = frozenset(canonical)
 
-    counts = np.zeros(math.prod(radices), dtype=np.int64)
-    for block_setting, codes in dataset.code_blocks:
-        if frozenset(block_setting) != target:
-            continue
-        cells = cell_index(codes, radices, map(block_setting.index, canonical))
-        counts += np.bincount(cells, minlength=len(counts))
+    offsets = dataset.offsets()
+    everything = np.zeros(offsets[-1], dtype=np.int64)
+    for start in range(0, len(dataset), COUNT_CELLS):  # bincount copies its piece as intp
+        everything += np.bincount(dataset.cells[start : start + COUNT_CELLS], minlength=offsets[-1])
+    counts = np.zeros(math.prod(map(len, alphabets)), dtype=np.int64)
+    for recorded, start, stop in zip(dataset.recorded, offsets, offsets[1:]):
+        if frozenset(recorded) == frozenset(canonical):  # its counts, axes in canonical order
+            block = everything[start:stop].reshape([len(a) for a in scenario.alphabets(recorded)])
+            counts += block.transpose(list(map(recorded.index, canonical))).ravel()
     total = int(counts.sum())
     if total == 0:
         raise UnknownSetting(f"no records for setting {tuple(setting)}")
 
     # nonzero cells enter the table in ascending outcome-value order,
     # numbers before strings
-    cells = list(product(*alphabets))
     counted = sorted(
-        ((cells[i], int(counts[i])) for i in np.flatnonzero(counts)),
+        ((cell, count) for cell, count in zip(product(*alphabets), counts.tolist()) if count),
         key=lambda item: tuple((isinstance(v, str), v) for v in item[0]),
     )
     probs = {cell: count / total for cell, count in counted}

@@ -44,11 +44,12 @@ from .quantumgen import PRNG_NAME
 from .randomtests import (
     LabelSequence,
     PlaceSelection,
+    is_integer,
     randomness_test,
     require_min_retained,
     stabilization_profile,
 )
-from .scenario import CorrelationSet, Dataset, NonDichotomous, correlation_set
+from .scenario import CorrelationSet, Dataset, NonDichotomous, code_dtype, correlation_set
 from .signaling import NoSharedObservables, no_signaling_test
 from .tolerances import StatisticalTolerance, TolerancePolicy, require_nonnegative, resolve_tolerance
 
@@ -72,8 +73,10 @@ class RunConfig:
         require_nonnegative(self.delta, "delta")
         require_nonnegative(self.zero_mean_tolerance, "zero_mean_tolerance")
         require_min_retained(self.min_retained)
-        # a numpy integer would not reach JSON
-        object.__setattr__(self, "min_retained", int(self.min_retained))
+        if not is_integer(self.seed):
+            raise ContexcertError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("seed", "min_retained"):  # a numpy integer would not reach JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def to_json(self) -> dict:
         return {
@@ -260,16 +263,21 @@ def extract_streams(dataset: Dataset) -> dict[str, LabelSequence]:
     Streams from different settings stay separate; concatenating across
     contexts is deliberately not offered here.
     """
-    columns: dict[str, tuple[tuple, list]] = {}
-    for setting, codes in dataset.code_blocks:
-        canonical = dataset.scenario.canonical_setting(setting)
-        alphabets = dataset.scenario.alphabets(setting)
-        for obs, alphabet, column in zip(setting, alphabets, codes.T):
-            columns.setdefault(stream_key(obs, canonical), (alphabet, []))[1].append(column)
-    return {
-        key: LabelSequence.from_codes(alphabet, np.concatenate(parts))
-        for key, (alphabet, parts) in sorted(columns.items())
-    }
+    scenario, cells, offsets = dataset.scenario, dataset.cells, dataset.offsets()
+    streams = {}
+    for canonical in dataset.settings():
+        alphabets = scenario.alphabets(canonical)
+        member = np.zeros(len(cells), bool)  # the records of this setting
+        codes = np.zeros((len(canonical), offsets[-1]), code_dtype(map(len, alphabets)))  # each cell's codes
+        for setting, start, stop in zip(dataset.recorded, offsets, offsets[1:]):
+            if scenario.canonical_setting(setting) == canonical:
+                member |= (start <= cells) & (cells < stop)
+                grid = np.indices([len(a) for a in scenario.alphabets(setting)]).reshape(len(setting), -1)
+                codes[:, start:stop] = grid[list(map(setting.index, canonical))]
+        picked = np.compress(member, cells)  # indexed with below: take would copy it as intp
+        for obs, alphabet, column in zip(canonical, alphabets, codes):
+            streams[stream_key(obs, canonical)] = LabelSequence.from_codes(alphabet, column[picked])
+    return dict(sorted(streams.items()))
 
 
 def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:

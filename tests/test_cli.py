@@ -692,6 +692,45 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
+BAD_OPTION_MISSING_DATA = {
+    "full-suite min_retained": (
+        ["full-suite", "--seed", "1", "--min-retained", "10"], "min_retained must be at least 30"
+    ),
+    "full-suite policy": (
+        ["full-suite", "--seed", "1", "--tolerance-policy", "k-sigma:x"],
+        "tolerance policy 'k-sigma:x': cannot read 'x' as float",
+    ),
+    "test delta": (["test", "chsh", "--delta", "-1"], "delta must be finite and >= 0, got -1.0"),
+    "randomness min_retained": (
+        ["randomness", "--seed", "1", "--setting", "A1+B1", "--observable", "A1", "--min-retained", "10"],
+        "min_retained must be at least 30",
+    ),
+    "randomness policy": (
+        ["randomness", "--seed", "1", "--setting", "A1+B1", "--observable", "A1", "--policy", "k-sigma:x"],
+        "tolerance policy 'k-sigma:x': cannot read 'x' as float",
+    ),
+    "randomness selections": (
+        ["randomness", "--seed", "1", "--setting", "A1+B1", "--observable", "A1", "--selections", "mod:2"],
+        "selection token 'mod:2': expected mod:M:R",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message, missing",
+    [(*BAD_OPTION_MISSING_DATA[name], "--data") for name in BAD_OPTION_MISSING_DATA]
+    + [(*BAD_OPTION_MISSING_DATA[name], "--stream") for name in BAD_OPTION_MISSING_DATA if name.startswith("randomness")],
+    ids=[*BAD_OPTION_MISSING_DATA, *(f"{name} stream" for name in BAD_OPTION_MISSING_DATA if name.startswith("randomness"))],
+)
+def test_a_bad_option_is_named_before_the_input_is_read(argv, message, missing, tmp_path, capsys):
+    # each command used to read its input first and report the missing file instead
+    absent = [missing, str(tmp_path / "absent.csv")]
+    if missing == "--data":
+        absent += ["--scenario", str(tmp_path / "absent.scenario.json")]
+    code, out, err = run_cli(capsys, *argv, *absent)
+    assert (code, out, err) == (1, "", f"contexcert: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["full-suite", "randomness"])
 def test_min_retained_below_30_is_refused_by_both_commands(command, tmp_path, capsys):
     # full-suite used to exit 0 with every randomness stream skipped

@@ -2,9 +2,11 @@
 
 ``scenario.alphabet_codes`` maps outcome values to codes for datasets, label
 streams and after-pattern selections; ``scenario.cell_index`` numbers code
-rows for table counting and for the CSV writer.  Each property test keeps the
+rows, and a dataset keeps each record as its cell number.  Each property test keeps the
 code path the encoder replaced as its reference.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -179,9 +181,14 @@ class TestEncoderProperties:
                 Dataset.from_blocks(scenario, [(setting, rows)])
             assert str(exc.value) == expected
             return
-        (_, codes), = Dataset.from_blocks(scenario, [(setting, rows)]).code_blocks
+        codes = encode_rows(scenario, setting, rows)
         assert codes.dtype == expected.dtype
         assert np.array_equal(codes, expected)
+        ds = Dataset.from_blocks(scenario, [(setting, rows)])
+        radices = [len(a) for a in scenario.alphabets(setting)]
+        assert ds.recorded == (setting,)
+        assert ds.cells.dtype == np.min_scalar_type(math.prod(radices) - 1)  # the narrowest
+        assert ds.cells.tolist() == cell_index(expected, radices, range(len(setting))).tolist()
 
 
 # ---------------------------------------------------------------- the writer

@@ -191,10 +191,9 @@ class TestSampleQuantum:
         a, b = self.pair(0.2, 1.4)
         ds1 = sample_quantum_dataset(singlet_state(), [((a, b), 500)], seed=77)
         ds2 = sample_quantum_dataset(singlet_state(), [((a, b), 500)], seed=77)
-        for (s1, c1), (s2, c2) in zip(ds1.code_blocks, ds2.code_blocks, strict=True):
-            assert s1 == s2
-            assert c1.dtype == c2.dtype
-            assert (c1 == c2).all()
+        assert ds1.recorded == ds2.recorded
+        assert ds1.cells.dtype == ds2.cells.dtype
+        assert (ds1.cells == ds2.cells).all()
 
     def test_meta_records_provenance(self):
         a, b = self.pair(0.0, 1.0)
@@ -358,8 +357,7 @@ def sampled(sampler, *args):
         ds = sampler(*args)
     except ContexcertError as exc:
         return type(exc), str(exc)
-    blocks = [(setting, codes.dtype, codes.tolist()) for setting, codes in ds.code_blocks]
-    return ds.scenario, blocks, list(ds.meta.items())
+    return ds.scenario, ds.recorded, ds.cells.dtype, ds.cells.tolist(), list(ds.meta.items())
 
 
 SIDES = {"A": 0, "A'": 0, "B": 1, "B'": 1}
@@ -421,5 +419,5 @@ class TestSamplersShareOneLoop:
         monkeypatch.setattr("contexcert.scenario.encode_rows", no_encode)  # from_blocks
         obs = [planar_observable("A", 0.0, qubit=0), planar_observable("B", 0.7, qubit=1)]
         ds = sample_quantum_dataset(singlet_state(), [((obs[0], obs[1]), 50)], seed=4)
-        [(setting, codes)] = ds.code_blocks
-        assert setting == ("A", "B") and codes.dtype == np.uint8 and codes.shape == (50, 2)
+        assert ds.recorded == (("A", "B"),)
+        assert ds.cells.dtype == np.uint8 and ds.cells.shape == (50,)

@@ -1,7 +1,7 @@
 """Outcomes are encoded once, by ``scenario.encode_rows``.
 
 ``read_dataset_csv`` encodes each setting's distinct rows in one call and
-hands ``Dataset`` code blocks; ``extract_streams`` and
+hands ``Dataset`` one cell number per record; ``extract_streams`` and
 ``apply_selection`` cut label streams from codes through
 ``LabelSequence.from_codes``.  The property tests keep the former paths as
 their references: the reader that parsed values and then called
@@ -98,12 +98,12 @@ def reference_read_dataset_csv(path, scenario):
 
 
 def read_outcome(reader, path, scenario):
-    """The code blocks read, or the error's type, message, record and line."""
+    """The recorded settings and cells read, or the error's type, message, record and line."""
     try:
         dataset = reader(path, scenario)
     except ContexcertError as exc:
         return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "line", None)
-    return [(setting, codes.dtype, codes.tolist()) for setting, codes in dataset.code_blocks]
+    return [dataset.recorded, dataset.cells.dtype, dataset.cells.tolist()]
 
 
 # ------------------------------------------------------------- drawn CSVs
@@ -266,33 +266,26 @@ class TestReaderMatchesFormerReader:
         path.write_text(
             f"{CSV_HEADER}\nA+B;1,-1\nA;1\nA+B;1,-1\nA+B;-1,-1\nA;1\n\nA+B;1,-1\nB;1\n\nA+B;1,-1\n"
         )
-        blocks = read_dataset_csv(path, scenario).code_blocks
+        dataset = read_dataset_csv(path, scenario)
         # one call per setting, its distinct rows in order of first appearance
         assert calls == [
             (("A", "B"), [[1, -1], [-1, -1]]),
             (("A",), [[1]]),
             (("B",), [[1]]),
         ]
-        assert [(s, c.tolist()) for s, c in blocks] == [
-            (("A", "B"), [[0, 1]]),
-            (("A",), [[0]]),
-            (("A", "B"), [[0, 1], [1, 1]]),
-            (("A",), [[0]]),
-            (("A", "B"), [[0, 1]]),
-            (("B",), [[0]]),
-            (("A", "B"), [[0, 1]]),
-        ]
+        # cells 0-3 are A+B's, 4-5 are A's and 6-7 are B's
+        assert dataset.recorded == (("A", "B"), ("A",), ("B",))
+        assert dataset.cells.dtype == np.uint8
+        assert dataset.cells.tolist() == [1, 4, 1, 3, 4, 1, 6, 1]
 
     def test_one_code_row_per_distinct_text(self, tmp_path):
         scenario = Scenario((Observable("A", ("up", "down")), Observable("B")), ({"A", "B"},))
         path = tmp_path / "d.csv"
         path.write_text(f"{CSV_HEADER}\nA+B;up,1\nA+B;down,-1\nA+B; up,1\nB+A;1,up\nA+B;down,-1\n")
-        blocks = read_dataset_csv(path, scenario).code_blocks
-        assert [(s, c.tolist()) for s, c in blocks] == [
-            (("A", "B"), [[0, 0], [1, 1], [0, 0]]),
-            (("B", "A"), [[0, 0]]),
-            (("A", "B"), [[1, 1]]),
-        ]
+        dataset = read_dataset_csv(path, scenario)
+        # cells 0-3 are A+B's, 4-7 are B+A's
+        assert dataset.recorded == (("A", "B"), ("B", "A"))
+        assert dataset.cells.tolist() == [0, 3, 0, 4, 3]
 
 
 # ------------------------------------------------------------- the streams
@@ -389,7 +382,7 @@ class TestStreamsFromCodes:
 def test_block_of_tuple_values_builds():
     scenario = Scenario((Observable("A", ((1, 2), (3, 4))), Observable("B")), ({"A", "B"},))
     dataset = Dataset.from_blocks(scenario, [(("A",), [((1, 2),), ((3, 4),)])])
-    assert [codes.tolist() for _, codes in dataset.code_blocks] == [[[0], [1]]]
+    assert dataset.recorded == (("A",),) and dataset.cells.tolist() == [0, 1]
     assert list(dataset) == [OutcomeRecord(("A",), ((1, 2),)), OutcomeRecord(("A",), ((3, 4),))]
     for rows in ([((1, 2),), ((1, 2), (3, 4))], [(1, 2)], [(1, 2), ((3, 4),)], [(1, 2, 3)]):
         with pytest.raises(ContexcertError, match="outcome matrix shape does not match setting"):

@@ -1,10 +1,12 @@
 import math
+import random
+from collections import deque
 
 import numpy as np
 import pytest
 
 from contexcert import suite
-from contexcert.dataio import dumps_json
+from contexcert.dataio import dumps_json, read_dataset_csv, write_dataset_csv
 from contexcert.errors import ContexcertError
 from contexcert.quantumgen import (
     planar_observable,
@@ -144,6 +146,20 @@ class TestFullSuite:
         report = run_full_suite(tsirelson_dataset(n=500), config)
         assert '"min_retained": 40' in dumps_json(report.to_json())
 
+    @pytest.mark.parametrize("seed", [True, 1.5, 1.0, "1", None])
+    def test_config_refuses_a_seed_that_is_not_an_integer(self, seed):
+        # True was reported as "seed": true and 1.5 as "seed": 1.5
+        with pytest.raises(ContexcertError) as exc:
+            RunConfig(seed=seed)
+        assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_seed_reaches_json(self):
+        # dumps_json raised a TypeError on the numpy integer
+        config = RunConfig(seed=np.int64(1))
+        assert type(config.seed) is int
+        report = run_full_suite(tsirelson_dataset(n=500), config)
+        assert '"seed": 1,' in dumps_json(report.to_json())
+
 
 class TestExtractStreams:
     @pytest.mark.parametrize("with_a", [False, True])
@@ -163,6 +179,44 @@ class TestExtractStreams:
         assert streams["A@1@A@1+B"].values == tuple(r[0] for r in rows)
         report = run_full_suite(ds, RunConfig()).to_json()
         assert report["summary"]["randomness"]["A@1@A@1+B"] in ("passed", "failed")
+
+
+class TestInterleaving:
+    """Records of the four settings drawn at random trial by trial, as a Bell
+    test draws them, give the same report as the same records in blocks."""
+
+    @staticmethod
+    def interleave(dataset, flip):
+        runs = {}  # each setting's records, in order
+        for rec in dataset:
+            runs.setdefault(rec.setting, deque()).append(rec)
+        queues = list(runs.values())
+        interleaved = [queue.popleft() for queue in queues]  # first appearances keep their order
+        rng = random.Random(1)
+        while any(queues):
+            interleaved.append(rng.choice([queue for queue in queues if queue]).popleft())
+        if flip:  # every third record of A1+B1 is recorded as B1+A1
+            flipped = [rec for rec in interleaved if rec.setting == ("A1", "B1")][1::3]
+            turned = {id(rec): OutcomeRecord(rec.setting[::-1], rec.outcomes[::-1]) for rec in flipped}
+            interleaved = [turned.get(id(rec), rec) for rec in interleaved]
+        return Dataset(dataset.scenario, interleaved, {"source": "interleaved"})
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["as-drawn", "one-setting-in-both-orders"])
+    def test_interleaving_changes_nothing(self, flip, tmp_path):
+        blocked = tsirelson_dataset(n=400, seed=2)
+        interleaved = self.interleave(blocked, flip)
+        assert len(interleaved) == len(blocked) == 1600
+        assert interleaved.settings() == blocked.settings()
+        runs = sum(a.setting != b.setting for a, b in zip(interleaved, list(interleaved)[1:])) + 1
+        assert runs > 1000
+        reports = []
+        for dataset in (blocked, interleaved):
+            report = run_full_suite(dataset, RunConfig(seed=1)).to_json()
+            del report["provenance"]["dataset_meta"]
+            reports.append(dumps_json(report))
+        assert reports[0] == reports[1]
+        write_dataset_csv(interleaved, tmp_path / "d.csv")
+        assert list(read_dataset_csv(tmp_path / "d.csv", blocked.scenario)) == list(interleaved)
 
 
 class TestInequalityRunner:
