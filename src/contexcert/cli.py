@@ -42,7 +42,7 @@ from .quantumgen import (
     singlet_state,
     sphere_lhv_model,
 )
-from .randomtests import PlaceSelection, randomness_test, require_min_retained
+from .randomtests import PlaceSelection, randomness_test, require_min_retained, require_seed
 from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_test, stream_key
 from .tolerances import parse_number, parse_policy
 
@@ -50,14 +50,15 @@ SEED_ENV = "CONTEXCERT_SEED"
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        raise ContexcertError(
-            f"a seed is required: pass --seed or set {SEED_ENV}"
-        )
-    return parse_number(int, env, SEED_ENV)
+    if value is None:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            raise ContexcertError(
+                f"a seed is required: pass --seed or set {SEED_ENV}"
+            )
+        value = parse_number(int, env, SEED_ENV)
+    require_seed(value)
+    return value
 
 
 def _emit(payload: dict, args, out: str | None) -> None:

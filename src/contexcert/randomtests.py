@@ -12,12 +12,16 @@ Built-in selections: prime positions, positions following a fixed pattern,
 arithmetic position filters (n mod m == r), and an independent seeded coin
 that never reads the data.
 
-Counting never copies the codes.  A selection's label counts come from one
-``bincount`` over ``codes + k * mask`` (k labels), whose upper k bins count
-the retained positions; a stabilization profile counts the label between
-consecutive checkpoints.  So the battery costs one pass over the sequence
-per selection, plus the pass that builds its mask, and a profile one pass
-per label, whatever the mask's density or the number of labels.
+Counting never copies the codes.  Up to 8 selections share one ``bincount``:
+each mask becomes one bit of a uint8 ``bits`` array as soon as it is built,
+and ``(codes << g) | bits`` (g selections), counted in pieces of ``PIECE``
+symbols, fills a grid of labels by bit patterns.  A label's row sums to its
+overall count, and the columns with bit j set to its count in selection j.
+Past 512 labels fewer selections share a count, so that the grid stays
+within ``GRID_BINS``.  A stabilization profile counts the label between
+consecutive checkpoints.  So the battery costs one pass over the sequence per
+group of selections, plus the pass that builds each mask, and a profile one
+pass per label, whatever the masks' density or the number of labels.
 """
 
 from __future__ import annotations
@@ -34,6 +38,12 @@ import numpy as np
 from .errors import ContexcertError
 from .scenario import alphabet_codes
 from .tolerances import StatisticalTolerance, TolerancePolicy, binomial_sigma, resolve_tolerance
+
+
+GRID_BINS = 1 << 17  # a shared count's grid of labels by bit patterns stays at 1 MB
+# Symbols per piece of a count or coin, so that its buffers stay at 64 KB:
+# larger ones grew the heap, and full-suite's peak RSS with it.
+PIECE = 1 << 13
 
 
 class UnknownLabel(ContexcertError):
@@ -148,6 +158,7 @@ class PlaceSelection:
 
     @classmethod
     def external_coin(cls, seed: int, bias: float = 0.5) -> "PlaceSelection":
+        require_seed(seed)
         if not 0.0 < bias <= 1.0:
             raise ContexcertError("coin bias must be in (0, 1]")
         return cls(
@@ -220,7 +231,11 @@ def selection_mask(seq: LabelSequence, sel: PlaceSelection) -> np.ndarray:
         return mask
     if sel.kind == "external_coin":
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(sel.seed)))
-        return rng.random(n) < sel.bias
+        # drawn in pieces, the same doubles as rng.random(n) without its n floats
+        mask = np.empty(n, dtype=bool)
+        for start in range(0, n, PIECE):
+            np.less(rng.random(min(PIECE, n - start)), sel.bias, out=mask[start : start + PIECE])
+        return mask
     if sel.kind == "after_pattern":
         pattern = alphabet_codes(sel.pattern, seq.labels)
         unknown = np.flatnonzero(pattern < 0)
@@ -263,6 +278,42 @@ def frequency(seq: LabelSequence, label) -> float:
 def frequencies(seq: LabelSequence) -> dict:
     counts = np.bincount(seq.codes, minlength=len(seq.labels))
     return {label: counts[i] / len(seq) for i, label in enumerate(seq.labels)}
+
+
+def _selection_counts(
+    seq: LabelSequence, selections: Sequence[PlaceSelection]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The label counts over the whole sequence, and over each selection's
+    retained positions, as int64 arrays in label order.
+
+    A group of g selections is counted in one pass: selection j's mask is bit j
+    of ``bits``, so ``(codes << g) | bits`` numbers a (label, bit pattern) cell.
+    """
+    k, n, codes = len(seq.labels), len(seq), seq.codes
+    size = max(1, min(8, (GRID_BINS // k).bit_length() - 1))
+    counts = []
+    for first in range(0, len(selections), size):
+        group = selections[first : first + size]
+        g = len(group)
+        # each mask is a fresh array: it is shifted and merged in place, then dropped
+        bits = selection_mask(seq, group[0]).view(np.uint8)
+        for j, sel in enumerate(group[1:], 1):
+            mask = selection_mask(seq, sel).view(np.uint8)
+            mask <<= j
+            bits |= mask
+        bins = k << g
+        piece = max(PIECE, bins)  # a piece's count never costs more than its keys
+        grid = np.zeros(bins, dtype=np.int64)
+        for start in range(0, n, piece):
+            keys = codes[start : start + piece].astype(np.intp)
+            keys <<= g
+            keys |= bits[start : start + piece]
+            grid += np.bincount(keys, minlength=bins)
+        grid = grid.reshape(k, 1 << g)
+        total = grid.sum(axis=1)  # the same for every group
+        # selection j's columns are the patterns with bit j set
+        counts += [grid.reshape(k, -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2)) for j in range(g)]
+    return total, counts
 
 
 def stabilization_profile(
@@ -331,6 +382,15 @@ class RandomnessReport:
         }
 
 
+def require_seed(seed) -> None:
+    """Refuse a seed that is not an integer of at least 0, which numpy's
+    ``SeedSequence`` would refuse only when a generator is made from it."""
+    if not is_integer(seed):
+        raise ContexcertError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ContexcertError(f"seed must be non-negative, got {seed!r}")
+
+
 def require_min_retained(min_retained) -> None:
     """Refuse a ``min_retained`` that is not an integer of at least 30."""
     if not is_integer(min_retained):
@@ -355,14 +415,11 @@ def randomness_test(
     if not selections:
         raise ContexcertError("need at least one selection")
     require_min_retained(min_retained)
-    overall = frequencies(seq)
-    k = len(seq.labels)
+    total, per_selection = _selection_counts(seq, selections)
+    overall = {label: total[i] / len(seq) for i, label in enumerate(seq.labels)}
 
     results = []
-    for sel in selections:
-        mask = selection_mask(seq, sel)
-        # a retained position's code is shifted into the upper k bins
-        counts = np.bincount(seq.codes + k * mask, minlength=2 * k)[k:]
+    for sel, counts in zip(selections, per_selection):
         retained = int(counts.sum())
         if retained < min_retained:
             results.append(SelectionResult(sel.description, retained, {}, 0.0, 0.0, "inconclusive"))

@@ -266,6 +266,8 @@ def alphabet_codes(values: Sequence, alphabet: Sequence) -> np.ndarray:
     index = {value: code for code, value in enumerate(alphabet)}
     dtype = np.min_scalar_type(-len(alphabet))
     try:
+        if dtype == np.int8:  # codes 0..127 are bytes, and the byte 255 reads as -1
+            return np.frombuffer(bytearray(map(index.get, values, repeat(255))), dtype)
         return np.fromiter(map(index.get, values, repeat(-1)), dtype=dtype, count=len(values))
     except TypeError:  # an unhashable value lies outside every alphabet
         codes = (index.get(v, -1) if getattr(v, "__hash__", None) else -1 for v in values)

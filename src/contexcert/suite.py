@@ -44,9 +44,9 @@ from .quantumgen import PRNG_NAME
 from .randomtests import (
     LabelSequence,
     PlaceSelection,
-    is_integer,
     randomness_test,
     require_min_retained,
+    require_seed,
     stabilization_profile,
 )
 from .scenario import CorrelationSet, Dataset, NonDichotomous, code_dtype, correlation_set
@@ -73,8 +73,7 @@ class RunConfig:
         require_nonnegative(self.delta, "delta")
         require_nonnegative(self.zero_mean_tolerance, "zero_mean_tolerance")
         require_min_retained(self.min_retained)
-        if not is_integer(self.seed):
-            raise ContexcertError(f"seed must be an integer, got {self.seed!r}")
+        require_seed(self.seed)
         for name in ("seed", "min_retained"):  # a numpy integer would not reach JSON
             object.__setattr__(self, name, int(getattr(self, name)))
 

@@ -740,3 +740,45 @@ def test_min_retained_below_30_is_refused_by_both_commands(command, tmp_path, ca
         argv += ["--setting", "A1+B1", "--observable", "A1"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", "contexcert: error: min_retained must be at least 30\n")
+
+
+NEGATIVE_SEED = {
+    "generate singlet": ["generate", "singlet", "--angles", "0,1,2,3", "--n", "10", "--out", "{tmp}/g.csv"],
+    "generate lhv": ["generate", "lhv", "--model", "sphere", "--n", "10", "--out", "{tmp}/g.csv"],
+    "generate state-file": [
+        "generate", "state-file", "--state", "{state}", "--observables", "{obs}", "--pairs", "A1+B1:10",
+        "--out", "{tmp}/g.csv",
+    ],
+    "full-suite": ["full-suite", "--data", "{csv}", "--scenario", "{scen}"],
+    "randomness": ["randomness", "--stream", "{stream}"],
+}
+
+
+@pytest.mark.parametrize("source", ["--seed", "CONTEXCERT_SEED"])
+@pytest.mark.parametrize("argv", NEGATIVE_SEED.values(), ids=NEGATIVE_SEED.keys())
+def test_a_negative_seed_is_refused(argv, source, tmp_path, capsys, monkeypatch):
+    # numpy's SeedSequence used to end each of these in a ValueError traceback
+    stream = tmp_path / "seq.txt"
+    stream.write_text("1\n-1\n" * 100)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"matrix": (np.eye(4) / 4).tolist()}))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps([{"id": "A1", "angle": 0}, {"id": "B1", "angle": 1, "qubit": 1}]))
+    csv, scen = write_triangle(tmp_path, lhv_triangle())
+    paths = dict(stream=stream, state=state, obs=obs, csv=csv, scen=scen, tmp=tmp_path)
+    argv = [arg.format(**paths) for arg in argv]
+    if source == "--seed":
+        monkeypatch.delenv("CONTEXCERT_SEED", raising=False)
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("CONTEXCERT_SEED", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "contexcert: error: seed must be non-negative, got -1\n")
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_a_negative_coin_seed_is_refused(tmp_path, capsys):
+    stream = tmp_path / "seq.txt"
+    stream.write_text("1\n-1\n" * 100)
+    code, out, err = run_cli(capsys, "randomness", "--stream", str(stream), "--seed", "1", "--selections", "prime,coin:-3")
+    assert (code, out, err) == (1, "", "contexcert: error: seed must be non-negative, got -3\n")

@@ -7,6 +7,7 @@ code path the encoder replaced as its reference.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -130,6 +131,67 @@ class TestAlphabetCodes:
         codes = np.array([[0, 0, 0], [1, 2, 1], [0, 1, 1], [1, 0, 0]], dtype=np.uint8)
         # column order (2, 0, 1) with radices (2, 2, 3)
         assert cell_index(codes, (2, 2, 3), (2, 0, 1)).tolist() == [0, 11, 7, 3]
+
+
+def reference_alphabet_codes(values, alphabet):
+    """``alphabet_codes`` before the byte pass: one ``fromiter`` over ``index.get``."""
+    index = {value: code for code, value in enumerate(alphabet)}
+    dtype = np.min_scalar_type(-len(alphabet))
+    try:
+        return np.fromiter(map(index.get, values, repeat(-1)), dtype=dtype, count=len(values))
+    except TypeError:
+        codes = (index.get(v, -1) if getattr(v, "__hash__", None) else -1 for v in values)
+        return np.fromiter(codes, dtype=dtype, count=len(values))
+
+
+def edge_alphabet(size, kind):
+    """``size`` ints, or "1" and None before ``size - 2`` ints."""
+    return tuple(range(size)) if kind == "ints" else ("1", None, *range(size - 2))
+
+
+class TestByteCodesMatchFromiter:
+    """Up to 128 labels, codes are one byte each; past 128, the former path."""
+
+    @pytest.mark.parametrize("where", ["first", "last", "absent"])
+    @pytest.mark.parametrize(
+        "kind, unknown",
+        [(kind, v) for kind in ("ints", "mixed") for v in ("x", [1], 1000, np.int64(-9), "1", None)
+         if v not in edge_alphabet(129, kind)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("size", [127, 128, 129])
+    def test_codes_and_first_unknown(self, size, kind, unknown, where):
+        alphabet = edge_alphabet(size, kind)
+        known = [*alphabet[::-1], True, False, 1.0, np.int64(size - 3), "1", None]
+        known = [v for v in known if v in alphabet]
+        values = {"first": [unknown, *known], "last": [*known, unknown], "absent": known}[where]
+        expected = reference_alphabet_codes(values, alphabet)
+        codes = alphabet_codes(values, alphabet)
+        assert codes.dtype == expected.dtype == (np.int8 if size <= 128 else np.int16)
+        assert codes.tolist() == expected.tolist()
+        assert np.flatnonzero(codes < 0).tolist() == np.flatnonzero(expected < 0).tolist()
+        assert (where == "absent") == (expected >= 0).all()
+
+        scenario = Scenario((Observable("X", alphabet),))
+        rows = [(v,) for v in values]
+        if where == "absent":
+            assert LabelSequence(alphabet, values).codes.tolist() == expected.tolist()
+            assert encode_rows(scenario, ("X",), rows).ravel().tolist() == expected.tolist()
+            return
+        first = values[int(np.flatnonzero(expected < 0)[0])]
+        with pytest.raises(UnknownLabel) as exc:
+            LabelSequence(alphabet, values)
+        assert str(exc.value) == f"value {first!r} not among labels {alphabet}"
+        with pytest.raises(ContexcertError) as exc:
+            encode_rows(scenario, ("X",), rows)
+        assert str(exc.value) == f"outcome {first!r} not in alphabet of X"
+        assert exc.value.row == (0 if where == "first" else len(values) - 1)
+
+    @pytest.mark.parametrize("size", [127, 128, 129])
+    def test_codes_are_writable(self, size):
+        codes = alphabet_codes([0, 1, "x"], tuple(range(size)))
+        codes[0] = 5
+        assert codes.tolist() == [5, 1, -1]
 
 
 @pytest.mark.parametrize("kind", sorted(LABELS))

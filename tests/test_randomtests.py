@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contexcert import randomtests
 from contexcert.errors import ContexcertError
 from contexcert.randomtests import (
     AllSelectionsInconclusive,
@@ -129,6 +130,12 @@ class TestApplySelection:
         out2 = apply_selection(seq, sel)
         assert out1.values == out2.values
         assert abs(len(out1) / len(seq) - 0.5) < 0.02
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2)])
+    def test_external_coin_refuses_a_negative_seed(self, seed):
+        # numpy's SeedSequence refused it only when the mask was drawn
+        with pytest.raises(ContexcertError, match=f"^seed must be non-negative, got {re.escape(repr(seed))}$"):
+            PlaceSelection.external_coin(seed)
 
     def test_mod_selection(self):
         out = apply_selection(alternating(10), PlaceSelection.index_arithmetic(2, 0))
@@ -455,6 +462,75 @@ class TestCountingMatchesReference:
             profile = stabilization_profile(seq, label, checkpoints)
             expected = _reference_profile(seq, label, checkpoints)
             assert profile == expected and repr(profile) == repr(expected)
+
+
+@st.composite
+def wide_label_streams(draw):
+    """A sequence over 1-1000 int or string labels, the counts on either side
+    of the one-byte codes (128) and of a group of 8 selections' grid (512),
+    built from its values or from uint8/uint16 codes."""
+    k = draw(st.sampled_from([1, 2, 3, 128, 129, 300, 1000]))
+    labels = tuple(range(k)) if draw(st.booleans()) else tuple(f"s{i}" for i in range(k))
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "skewed", "constant"]))
+    if shape == "uniform":
+        codes = rng.integers(0, k, n)
+    elif shape == "skewed":
+        codes = np.minimum(rng.geometric(0.3, n) - 1, k - 1)
+    else:
+        codes = np.full(n, draw(st.integers(0, k - 1)))
+    if draw(st.booleans()):
+        return LabelSequence.from_codes(labels, codes.astype(np.uint8 if k <= 256 else np.uint16))
+    return LabelSequence.from_values([labels[c] for c in codes.tolist()], labels)
+
+
+@st.composite
+def batteries(draw, seq):
+    """7-17 selections, among them masks that retain nothing or everything."""
+    n = len(seq)
+    extremes = st.sampled_from(
+        [
+            PlaceSelection.index_arithmetic(1, 0),  # every position
+            PlaceSelection.external_coin(3, 1.0),  # every position
+            PlaceSelection.index_arithmetic(n + 1, 0),  # no position
+            PlaceSelection.after_pattern(seq.labels[:1] * n),  # no position
+        ]
+    )
+    return draw(st.lists(st.one_of(place_selections(seq.labels), extremes), min_size=7, max_size=17))
+
+
+class TestGroupedCountingMatchesReference:
+    """Selections share one count in groups of up to 8, fewer when the labels
+    are many; each group counts in pieces.  The grid bound and the piece size
+    are drawn as well, so that small streams cross both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_reports(self, data):
+        seq = data.draw(wide_label_streams())
+        selections = data.draw(batteries(seq))
+        policy = data.draw(
+            st.one_of(
+                st.floats(0.0, 0.5).map(FixedTolerance),
+                st.floats(0.5, 6.0).map(StatisticalTolerance),
+            )
+        )
+        retained = [int(_reference_mask(seq, sel).sum()) for sel in selections]
+        admissible = [r for r in retained if r >= 30]
+        min_retained = data.draw(st.sampled_from(admissible) if admissible else st.just(30))
+        grid_bins = data.draw(st.sampled_from([randomtests.GRID_BINS, 1, 2000, 20_000]))
+        piece = data.draw(st.sampled_from([randomtests.PIECE, 1, 100, 1000]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomtests, "GRID_BINS", grid_bins)
+            mp.setattr(randomtests, "PIECE", piece)
+            outcome = _outcome(lambda: randomness_test(seq, selections, policy, min_retained))
+            coins = [sel for sel in selections if sel.kind == "external_coin"]
+            coin_masks = [selection_mask(seq, sel).tolist() for sel in coins]
+        assert outcome == _outcome(lambda: _reference_randomness_test(seq, selections, policy, min_retained))
+        for sel, mask in zip(coins, coin_masks):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(sel.seed)))
+            assert mask == (rng.random(len(seq)) < sel.bias).tolist()
 
 
 # ------------------------------------------------------------ custom selections

@@ -153,6 +153,13 @@ class TestFullSuite:
             RunConfig(seed=seed)
         assert str(exc.value) == f"seed must be an integer, got {seed!r}"
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_config_refuses_a_negative_seed(self, seed):
+        # numpy's SeedSequence refused it only when the coin selection drew its mask
+        with pytest.raises(ContexcertError) as exc:
+            RunConfig(seed=seed)
+        assert str(exc.value) == f"seed must be non-negative, got {seed!r}"
+
     def test_numpy_integer_seed_reaches_json(self):
         # dumps_json raised a TypeError on the numpy integer
         config = RunConfig(seed=np.int64(1))
