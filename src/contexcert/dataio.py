@@ -27,6 +27,7 @@ from .scenario import (
     ProbTable,
     Scenario,
     encode_rows,
+    setting_cells,
 )
 
 CSV_HEADER = "setting;outcomes"
@@ -145,7 +146,7 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
     read in pieces of about ``PIECE_CHARS`` characters and each piece's lines
     become text numbers, one per distinct line, so no list of all lines is held.
     Each distinct line is parsed once and each setting's distinct rows are encoded
-    in one call; the records' cells are gathered from each text's cell number."""
+    in one call; the records are gathered, by text number, from those rows' cells."""
     number: dict[str, int] = {}  # distinct text -> number
     pieces = []  # the text numbers of each piece's lines
     for lines in _line_lists(path):
@@ -175,10 +176,11 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
         if faults:  # a later text can only be at fault later in the file
             break
         members.setdefault(setting, {})[i] = outcomes
-    coded = []  # (setting, its distinct texts' numbers, their code rows)
+    blocks = []  # (setting, the cells of its distinct texts)
     for setting, rows in members.items():
         try:
-            coded.append((setting, list(rows), encode_rows(scenario, setting, list(rows.values()))))
+            codes = encode_rows(scenario, setting, list(rows.values()))
+            blocks.append((setting, setting_cells(scenario, setting, codes)))
         except ContexcertError as exc:  # a setting fault lies in the setting's first row
             faults[list(rows)[getattr(exc, "row", 0)]] = exc
     if faults:
@@ -187,14 +189,11 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
         if isinstance(faults[first], ParseError):
             raise ParseError(str(faults[first]), line=lineno)
         raise ValidationError(str(faults[first]), index=lineno - 2)
-    dataset = Dataset(scenario)
-    dataset.number_codes([(setting, codes) for setting, _, codes in coded])  # one record per distinct text
-    numbers = [i for _, rows, _ in coded for i in rows]
-    cell_of = np.zeros(len(number), dataset.cells.dtype)  # text number -> cell
+    numbers = [i for rows in members.values() for i in rows]  # the blocks' texts, in order
+    place = np.zeros(len(number), texts.dtype)  # text number -> its place among the blocks' texts
     filled = np.zeros(len(number), bool)  # blank texts stay False
-    cell_of[numbers], filled[numbers] = dataset.cells, True
-    dataset.cells = cell_of[texts[filled[texts]]]
-    return dataset
+    place[numbers], filled[numbers] = np.arange(len(numbers)), True
+    return Dataset.from_cells(scenario, blocks, gather=place[texts[filled[texts]]])
 
 
 def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:
@@ -207,11 +206,24 @@ def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:
 
 
 def read_label_stream(path: str | Path) -> LabelSequence:
-    """One symbol per line; integers are parsed, anything else stays a string."""
-    values = [_parse_value(line) for lines in _line_lists(path) for line in lines if line.strip()]
-    if not values:
+    """One symbol per line; integers are parsed, anything else stays a string.
+    Each distinct line is parsed once, and each line becomes its symbol's code,
+    the labels being the symbols in order of first appearance; blank lines are
+    skipped.  So the stream is held as codes, never as a list of symbols."""
+    code: dict[str, int] = {}  # distinct line -> its symbol's code, -1 if blank
+    labels: dict[Any, int] = {}  # symbol -> code
+    pieces = []  # the codes of each piece's lines
+    for lines in _line_lists(path):
+        for line in dict.fromkeys(lines):
+            if line not in code:
+                code[line] = labels.setdefault(_parse_value(line), len(labels)) if line.strip() else -1
+        dtype = np.min_scalar_type(-max(len(labels), 1))  # holds -1 and every code
+        codes = np.fromiter(map(code.__getitem__, lines), dtype, len(lines))
+        pieces.append(codes[codes >= 0])
+    codes = np.concatenate([np.empty(0, np.int8), *pieces])
+    if not len(codes):
         raise ParseError("stream contains no symbols", line=1)
-    return LabelSequence.from_values(values)
+    return LabelSequence.from_codes(tuple(labels), codes)
 
 
 def _json_field(data: dict, field: str, kind: type, what: str) -> Any:

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
-from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, cell_index, code_dtype, encode_rows
+from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, encode_rows, setting_cells
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
@@ -233,21 +233,18 @@ def _sample_pairs(
         **extra_meta,
         "settings": [{"pair": list(pair), "count": count} for pair, count in pairs],
     }
-    dataset = Dataset(scenario, (), meta)
-    dataset.recorded = tuple(dict.fromkeys(pair for pair, count in pairs if count > 0))
-    offsets = dataset.offsets()
-    first, dtype = dict(zip(dataset.recorded, offsets)), code_dtype([offsets[-1]])
-    parts = [np.empty(0, dtype)]
-    for index, (pair, count) in enumerate(pairs):
-        if count < 0:
-            raise ContexcertError("sample count must be >= 0")
-        if count:
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-            )
-            parts.append((first[pair] + draw(scenario, index, count, rng)).astype(dtype))
-    dataset.cells = np.concatenate(parts)
-    return dataset
+
+    def blocks():  # drawn as from_cells takes them, so that one draw at a time is held at full width
+        for index, (pair, count) in enumerate(pairs):
+            if count < 0:
+                raise ContexcertError("sample count must be >= 0")
+            if count:
+                rng = np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+                )
+                yield pair, draw(scenario, index, count, rng)
+
+    return Dataset.from_cells(scenario, blocks(), meta)
 
 
 def sample_quantum_dataset(
@@ -316,7 +313,7 @@ def sample_lhv_dataset(
         columns = [np.asarray(model.response(obs, lambdas), dtype=np.int64) for obs in pair]
         if any(col.shape != (count,) for col in columns):
             raise ContexcertError("response must return one value per hidden draw")
-        return cell_index(encode_rows(scenario, pair, np.column_stack(columns)), (2, 2), (0, 1))
+        return setting_cells(scenario, pair, encode_rows(scenario, pair, np.column_stack(columns)))
 
     return _sample_pairs(settings, seed, draw, f"lhv:{model.description}")
 

@@ -3,8 +3,8 @@
 The model is deliberately small: observables carry a finite outcome alphabet
 (by default the dichotomic values +1/-1), a scenario declares which subsets
 of observables are jointly measurable, and a dataset is an ordered list of
-joint-outcome records.  Probability tables are estimated by plain counting
-and manipulated only through marginalization and pair correlations.
+joint-outcome records, cell numbers that only :meth:`Dataset.from_cells` assigns.
+Tables are counted once per dataset, then only marginalized and correlated.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, groupby, product, repeat
+from itertools import accumulate, chain, groupby, product, repeat, starmap
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -152,6 +152,7 @@ class Dataset:
     ``recorded`` lists the settings in first-appearance order; ``cells`` holds each
     record's cell number in acquisition order, in the narrowest unsigned dtype: its
     setting's first cell (:meth:`offsets`) plus the :func:`cell_index` of its codes.
+    Both are set once, by :meth:`from_cells`, and never changed.
     """
 
     def __init__(
@@ -160,10 +161,8 @@ class Dataset:
         records: Iterable[OutcomeRecord] = (),
         meta: Mapping[str, Any] | None = None,
     ) -> None:
-        self.scenario = scenario
-        self.meta: dict[str, Any] = dict(meta or {})
-        runs = groupby(records, key=lambda rec: rec.setting)
-        self.number_codes([(s, encode_rows(scenario, s, [rec.outcomes for rec in run])) for s, run in runs])
+        blocks = ((s, [rec.outcomes for rec in run]) for s, run in groupby(records, key=lambda rec: rec.setting))
+        vars(self).update(vars(self.from_blocks(scenario, blocks, meta)))  # the fields from_cells set
 
     @classmethod
     def from_blocks(
@@ -177,24 +176,36 @@ class Dataset:
         Each matrix row is one record; values are validated against the
         scenario's alphabets.
         """
-        ds = cls(scenario, (), meta)
-        ds.number_codes([(tuple(s), encode_rows(scenario, tuple(s), rows)) for s, rows in blocks])
-        return ds
+        coded = [(tuple(s), encode_rows(scenario, tuple(s), rows)) for s, rows in blocks]
+        return cls.from_cells(scenario, ((s, setting_cells(scenario, s, codes)) for s, codes in coded), meta)
 
-    def number_codes(self, coded: Sequence[tuple[tuple[str, ...], np.ndarray]]) -> None:
-        """Set ``recorded`` and ``cells`` from (setting, code rows) blocks in acquisition order."""
-        self.recorded = tuple(dict.fromkeys(s for s, codes in coded if len(codes)))
-        offsets = self.offsets()
-        first, dtype = dict(zip(self.recorded, offsets)), code_dtype([offsets[-1]])
-        parts = [np.empty(0, dtype)]
-        for s, codes in coded:  # an empty block's setting may not be recorded
-            radices = [len(a) for a in self.scenario.alphabets(s)]
-            parts.append((first.get(s, 0) + cell_index(codes, radices, range(len(s)))).astype(dtype))
-        self.cells = np.concatenate(parts)
+    @classmethod
+    def from_cells(cls, scenario: Scenario, blocks: Iterable, meta: Mapping | None = None, gather=None) -> "Dataset":
+        """The one constructor: the records are the cells of (setting, cell numbers within the
+        setting) blocks in acquisition order or, with ``gather``, those positions of them."""
+        def narrowed(s: tuple, cells: np.ndarray) -> tuple:  # starmap keeps no wide block past this call
+            return s, cells.astype(code_dtype([math.prod(map(len, scenario.alphabets(s)))]))
+        ds, blocks = cls.__new__(cls), list(starmap(narrowed, blocks))
+        ds.scenario, ds.meta = scenario, dict(meta or {})
+        ds.recorded = tuple(dict.fromkeys(s for s, cells in blocks if len(cells)))
+        offsets = ds.offsets()
+        first, dtype = dict(zip(ds.recorded, offsets)), code_dtype([offsets[-1]])
+        # an empty block's setting may not be recorded
+        cells = np.concatenate([np.empty(0, dtype), *(c.astype(dtype) + first.get(s, 0) for s, c in blocks)])
+        ds.cells = cells if gather is None else cells[gather]
+        return ds
 
     def offsets(self) -> list[int]:
         """Each recorded setting's first cell number, then the total cell count."""
         return [0, *accumulate(math.prod(map(len, self.scenario.alphabets(s))) for s in self.recorded)]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The number of records in each cell, as int64, counted once per dataset."""
+        counts = np.zeros(self.offsets()[-1], dtype=np.int64)
+        for start in range(0, len(self), COUNT_CELLS):  # bincount copies its piece as intp
+            counts += np.bincount(self.cells[start : start + COUNT_CELLS], minlength=len(counts))
+        return counts
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -281,6 +292,11 @@ def cell_index(codes: np.ndarray, radices: Sequence[int], columns: Iterable[int]
     for col, radix in zip(columns, radices):
         cell = cell * radix + codes[:, col]
     return cell
+
+
+def setting_cells(scenario: Scenario, setting: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """Each code row's cell number within ``setting``, over the setting's alphabets."""
+    return cell_index(codes, [len(a) for a in scenario.alphabets(setting)], range(len(setting)))
 
 
 @dataclass(frozen=True)
@@ -376,13 +392,10 @@ def estimate_table(dataset: Dataset, setting: Sequence[str]) -> ProbTable:
     alphabets = scenario.alphabets(canonical)
 
     offsets = dataset.offsets()
-    everything = np.zeros(offsets[-1], dtype=np.int64)
-    for start in range(0, len(dataset), COUNT_CELLS):  # bincount copies its piece as intp
-        everything += np.bincount(dataset.cells[start : start + COUNT_CELLS], minlength=offsets[-1])
     counts = np.zeros(math.prod(map(len, alphabets)), dtype=np.int64)
     for recorded, start, stop in zip(dataset.recorded, offsets, offsets[1:]):
         if frozenset(recorded) == frozenset(canonical):  # its counts, axes in canonical order
-            block = everything[start:stop].reshape([len(a) for a in scenario.alphabets(recorded)])
+            block = dataset.counts[start:stop].reshape([len(a) for a in scenario.alphabets(recorded)])
             counts += block.transpose(list(map(recorded.index, canonical))).ravel()
     total = int(counts.sum())
     if total == 0:

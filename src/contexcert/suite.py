@@ -49,7 +49,7 @@ from .randomtests import (
     require_seed,
     stabilization_profile,
 )
-from .scenario import CorrelationSet, Dataset, NonDichotomous, code_dtype, correlation_set
+from .scenario import Dataset, NonDichotomous, code_dtype, correlation_set
 from .signaling import NoSharedObservables, no_signaling_test
 from .tolerances import StatisticalTolerance, TolerancePolicy, require_nonnegative, resolve_tolerance
 
@@ -165,7 +165,6 @@ def run_inequality_test(
     which: str,
     config: RunConfig,
     constraint_pair: str | None = None,
-    counted: dict | None = None,
 ) -> InequalityRun:
     """Detect the structure ``which`` needs, pick its roles and run it.
 
@@ -173,8 +172,8 @@ def run_inequality_test(
     constraint pair is ``constraint_pair`` ("A2+B1", either order, one
     observable from each detected block), or else the cross pair with the
     largest |correlation|; the other tests refuse a ``constraint_pair``.
-    ``counted`` memoizes correlation sets across calls on the same dataset,
-    so the quadrupole's tables are counted once.
+    Each call estimates its correlations afresh; the dataset counts its cells
+    once, so a repeated estimate only reads those counts.
 
     Raises :class:`MissingSettings` when the dataset lacks the structure,
     and :class:`ZeroMeanViolated` or :class:`CorrelationConstraintUnmet`
@@ -186,19 +185,11 @@ def run_inequality_test(
         raise ContexcertError(
             f"--constraint-pair applies only to bell-original; {which} does not read it"
         )
-    counted = {} if counted is None else counted
-
-    def correlations(pairs: list) -> CorrelationSet:
-        key = tuple(pairs)
-        if key not in counted:
-            counted[key] = correlation_set(dataset, pairs)
-        return counted[key]
-
     if which == "suppes-zanotti":
         triangle = find_triangle(dataset)
         if triangle is None:
             raise MissingSettings("no three observables with all pairwise settings measured")
-        corr = correlations(list(combinations(triangle, 2)))
+        corr = correlation_set(dataset, list(combinations(triangle, 2)))
         triple_input = TripleInput(corr, triangle, config.zero_mean_tolerance)
         tol = resolve_tolerance(config.tolerance_policy, lambda k: sz_ksigma(triple_input, k))
         verdict = sz_test(triple_input, tol)
@@ -209,7 +200,7 @@ def run_inequality_test(
         raise MissingSettings("no four observables with all cross pairs measured")
     a_block, b_block = quadrupole
     cross = [(x, y) for x in a_block for y in b_block]
-    corr = correlations(cross)
+    corr = correlation_set(dataset, cross)
     if which == "chsh":
         chsh_input = ChshInput(corr, a_block, b_block)
         tol = resolve_tolerance(config.tolerance_policy, lambda k: chsh_ksigma(chsh_input, k))
@@ -292,10 +283,9 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
         signaling = {"status": "skipped", "reason": str(exc)}
         summary["signaling"] = "skipped"
 
-    counted: dict = {}
     for which in INEQUALITY_TESTS:
         try:
-            run = run_inequality_test(dataset, which, config, counted=counted)
+            run = run_inequality_test(dataset, which, config)
         except (
             MissingSettings, ZeroMeanViolated, CorrelationConstraintUnmet, NonDichotomous
         ) as exc:

@@ -191,6 +191,17 @@ class TestLabelStream:
         with pytest.raises(ParseError):
             read_label_stream(path)
 
+    def test_lines_become_codes_of_their_parsed_symbols(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text(" 1\nb\n\n1\n01\n-1\nb \n 1\n")
+        seq = read_label_stream(path)
+        # the sequence is built from its codes; its values are decoded only when read
+        assert "values" not in vars(seq)
+        # " 1", "1" and "01" all parse to 1, so they are one label
+        assert seq.labels == (1, "b", -1)
+        assert seq.codes.tolist() == [0, 1, 0, 0, 2, 1, 0]
+        assert seq.values == (1, "b", 1, 1, -1, "b", 1)
+
 
 def test_dumps_json_deterministic():
     a = dumps_json({"b": 1, "a": [3, 2]})

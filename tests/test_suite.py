@@ -227,19 +227,20 @@ class TestInterleaving:
 
 
 class TestInequalityRunner:
-    def test_quadrupole_counted_once_per_suite(self, monkeypatch):
-        counted = []
-        original = suite.correlation_set
+    def test_a_suite_counts_the_cells_once(self, monkeypatch):
+        dataset = tsirelson_dataset(n=1000)
+        counted = []  # the lengths of the bincount passes over the dataset's cells
+        original = np.bincount
 
-        def counting(dataset, pairs):
-            counted.append(tuple(pairs))
-            return original(dataset, pairs)
+        def counting(values, *args, **kwargs):
+            if isinstance(values, np.ndarray) and np.shares_memory(values, dataset.cells):
+                counted.append(len(values))
+            return original(values, *args, **kwargs)
 
-        monkeypatch.setattr(suite, "correlation_set", counting)
-        data = run_full_suite(tsirelson_dataset(n=1000), RunConfig(seed=1)).to_json()
-        # bell-original reads the correlations before its constraint check skips it
-        assert {t["test"]: t["status"] for t in data["tests"]}["bell-original"] == "skipped"
-        assert counted == [tuple((x, y) for x in ("A1", "A2") for y in ("B1", "B2"))]
+        monkeypatch.setattr(np, "bincount", counting)
+        data = run_full_suite(dataset, RunConfig(seed=1)).to_json()
+        assert {t["test"]: t["status"] for t in data["tests"]}["chsh"] == "run"
+        assert sum(counted) == len(dataset) == 4000
 
     def test_unknown_test_name(self):
         with pytest.raises(ContexcertError, match="unknown inequality test"):
