@@ -47,6 +47,7 @@ from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_te
 from .tolerances import parse_number, parse_policy
 
 SEED_ENV = "CONTEXCERT_SEED"
+DEFAULTS = RunConfig()  # the defaults of every option that sets a RunConfig field
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -197,12 +198,18 @@ def cmd_generate_state_file(args) -> None:
     _write_generated(dataset, seed, args)
 
 
-def cmd_test(args) -> None:
-    config = RunConfig(
+def _run_config(args, **fields) -> RunConfig:
+    """The RunConfig of the options ``test`` and ``full-suite`` share, plus ``fields``."""
+    return RunConfig(
         tolerance_policy=parse_policy(args.tolerance_policy),
         delta=args.delta,
         zero_mean_tolerance=args.zero_mean_tolerance,
+        **fields,
     )
+
+
+def cmd_test(args) -> None:
+    config = _run_config(args)
     dataset = ingest(args.data, args.scenario)
     which = "suppes-zanotti" if args.which == "sz" else args.which
     run = run_inequality_test(dataset, which, config, args.constraint_pair)
@@ -266,14 +273,8 @@ def cmd_randomness(args) -> None:
 
 def cmd_full_suite(args) -> None:
     seed = _resolve_seed(args.seed)
-    config = RunConfig(
-        tolerance_policy=parse_policy(args.tolerance_policy),
-        randomness_policy=parse_policy(args.randomness_policy),
-        seed=seed,
-        delta=args.delta,
-        zero_mean_tolerance=args.zero_mean_tolerance,
-        min_retained=args.min_retained,
-    )
+    policy = parse_policy(args.randomness_policy)
+    config = _run_config(args, randomness_policy=policy, seed=seed, min_retained=args.min_retained)
     dataset = ingest(args.data, args.scenario)
     report = run_full_suite(dataset, config)
     _emit(report.to_json(), args, args.out)
@@ -288,6 +289,15 @@ def _add_tail(parser: argparse.ArgumentParser, seed: bool, generated: bool = Fal
     if generated:
         parser.add_argument("--scenario-out")
     parser.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The input and test options ``test`` and ``full-suite`` share."""
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--scenario", required=True)
+    parser.add_argument("--tolerance-policy", default=DEFAULTS.tolerance_policy.describe())
+    parser.add_argument("--delta", type=float, default=DEFAULTS.delta)
+    parser.add_argument("--zero-mean-tolerance", type=float, default=DEFAULTS.zero_mean_tolerance)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,11 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     test = sub.add_parser("test", help="run one inequality test")
     test.add_argument("which", choices=("chsh", "sz", "bell-original"))
-    test.add_argument("--data", required=True)
-    test.add_argument("--scenario", required=True)
-    test.add_argument("--tolerance-policy", default="k-sigma:3")
-    test.add_argument("--delta", type=float, default=0.01)
-    test.add_argument("--zero-mean-tolerance", type=float, default=0.05)
+    _add_run_options(test)
     test.add_argument("--constraint-pair", help="e.g. A2+B1 (bell-original only)")
     _add_tail(test, seed=False)
     test.set_defaults(func=cmd_test)
@@ -350,19 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--setting", help="e.g. A1+B1")
     rand.add_argument("--observable")
     rand.add_argument("--selections", default="prime,mod:2:0,coin")
-    rand.add_argument("--policy", default="k-sigma:4")
-    rand.add_argument("--min-retained", type=int, default=30)
+    rand.add_argument("--policy", default=DEFAULTS.randomness_policy.describe())
+    rand.add_argument("--min-retained", type=int, default=DEFAULTS.min_retained)
     _add_tail(rand, seed=True)
     rand.set_defaults(func=cmd_randomness)
 
     full = sub.add_parser("full-suite", help="signaling + tests + oracle + randomness")
-    full.add_argument("--data", required=True)
-    full.add_argument("--scenario", required=True)
-    full.add_argument("--tolerance-policy", default="k-sigma:3")
-    full.add_argument("--randomness-policy", default="k-sigma:4")
-    full.add_argument("--delta", type=float, default=0.01)
-    full.add_argument("--zero-mean-tolerance", type=float, default=0.05)
-    full.add_argument("--min-retained", type=int, default=30)
+    _add_run_options(full)
+    full.add_argument("--randomness-policy", default=DEFAULTS.randomness_policy.describe())
+    full.add_argument("--min-retained", type=int, default=DEFAULTS.min_retained)
     _add_tail(full, seed=True)
     full.set_defaults(func=cmd_full_suite)
 

@@ -26,8 +26,6 @@ from .scenario import (
     Observable,
     ProbTable,
     Scenario,
-    encode_rows,
-    setting_cells,
 )
 
 CSV_HEADER = "setting;outcomes"
@@ -145,8 +143,8 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
     """Parse and validate a dataset CSV; errors carry line numbers.  The file is
     read in pieces of about ``PIECE_CHARS`` characters and each piece's lines
     become text numbers, one per distinct line, so no list of all lines is held.
-    Each distinct line is parsed once and each setting's distinct rows are encoded
-    in one call; the records are gathered, by text number, from those rows' cells."""
+    Each distinct line is parsed once; :meth:`Dataset.from_rows` encodes the distinct
+    rows and gathers the records, by text number, from those rows' cells."""
     number: dict[str, int] = {}  # distinct text -> number
     pieces = []  # the text numbers of each piece's lines
     for lines in _line_lists(path):
@@ -161,8 +159,7 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
     if not pieces:
         raise ParseError("empty file", line=1)
     texts = np.concatenate(pieces)
-    members: dict[tuple[str, ...], dict[int, list]] = {}  # setting -> {text number: outcomes}
-    faults: dict[int, ContexcertError] = {}  # text number -> what is wrong with it
+    rows, numbers, fault = [], [], None  # the non-blank texts before the first parse fault, and their numbers
     for raw, i in number.items():
         parts = raw.strip().split(";")
         if parts == [""]:  # a blank line
@@ -170,30 +167,27 @@ def read_dataset_csv(path: str | Path, scenario: Scenario) -> Dataset:
         setting = tuple(tok.strip() for tok in parts[0].split("+"))
         outcomes = [_parse_value(tok) for tok in parts[-1].split(",")]
         if len(parts) != 2:
-            faults[i] = ParseError("expected exactly one ';' separator")
+            fault = i, ParseError("expected exactly one ';' separator")
         elif len(setting) != len(outcomes):
-            faults[i] = ParseError(f"{len(setting)} setting ids but {len(outcomes)} outcomes")
-        if faults:  # a later text can only be at fault later in the file
+            fault = i, ParseError(f"{len(setting)} setting ids but {len(outcomes)} outcomes")
+        if fault:  # a later text can only be at fault later in the file
             break
-        members.setdefault(setting, {})[i] = outcomes
-    blocks = []  # (setting, the cells of its distinct texts)
-    for setting, rows in members.items():
-        try:
-            codes = encode_rows(scenario, setting, list(rows.values()))
-            blocks.append((setting, setting_cells(scenario, setting, codes)))
-        except ContexcertError as exc:  # a setting fault lies in the setting's first row
-            faults[list(rows)[getattr(exc, "row", 0)]] = exc
-    if faults:
-        first = min(faults)
-        lineno = int(np.argmax(texts == first)) + 2
-        if isinstance(faults[first], ParseError):
-            raise ParseError(str(faults[first]), line=lineno)
-        raise ValidationError(str(faults[first]), index=lineno - 2)
-    numbers = [i for rows in members.values() for i in rows]  # the blocks' texts, in order
-    place = np.zeros(len(number), texts.dtype)  # text number -> its place among the blocks' texts
+        rows.append((setting, outcomes))
+        numbers.append(i)
+    row = np.zeros(len(number), texts.dtype)  # text number -> its row
     filled = np.zeros(len(number), bool)  # blank texts stay False
-    place[numbers], filled[numbers] = np.arange(len(numbers)), True
-    return Dataset.from_cells(scenario, blocks, gather=place[texts[filled[texts]]])
+    row[numbers], filled[numbers] = np.arange(len(numbers)), True
+    try:
+        dataset = Dataset.from_rows(scenario, rows, gather=row[texts[filled[texts]]])
+    except ContexcertError as exc:  # its row comes before any parse fault's text
+        fault = numbers[exc.row], exc
+    if fault:
+        first, exc = fault
+        lineno = int(np.argmax(texts == first)) + 2
+        if isinstance(exc, ParseError):
+            raise ParseError(str(exc), line=lineno)
+        raise ValidationError(str(exc), index=lineno - 2)
+    return dataset
 
 
 def ingest(csv_path: str | Path, scenario_json_path: str | Path) -> Dataset:

@@ -21,13 +21,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
-from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, encode_rows, setting_cells
+from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, code_dtype, encode_rows, setting_cells
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 COMMUTATOR_TOL = 1e-10
+DRAW_PIECE = 1 << 16  # doubles drawn at a time, so a setting never holds one per record
 
 PRNG_NAME = "numpy-PCG64"
 SUBSEED_SCHEME = "SeedSequence(entropy=seed, spawn_key=(setting_index,))"
@@ -207,10 +208,14 @@ def singlet_correlation(angle_a: float, angle_b: float) -> float:
 
 def _sample_from_table(table: ProbTable, count: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draw over the cells in ``table.cells()`` order, as cell
-    numbers: a cell's number in that order is its mixed-radix :func:`cell_index`."""
+    numbers: a cell's number in that order is its mixed-radix :func:`cell_index`.
+    The doubles of ``rng.random(count)`` are drawn ``DRAW_PIECE`` at a time."""
     cdf = np.cumsum([float(table.prob(cell)) for cell in table.cells()])
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    return np.clip(idx, 0, len(cdf) - 1, out=idx)
+    cells = np.empty(count, code_dtype([len(cdf)]))
+    for start in range(0, count, DRAW_PIECE):
+        idx = np.searchsorted(cdf, rng.random(min(DRAW_PIECE, count - start)), side="right")
+        cells[start : start + DRAW_PIECE] = np.clip(idx, 0, len(cdf) - 1, out=idx)
+    return cells
 
 
 def _sample_pairs(

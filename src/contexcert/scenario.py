@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, groupby, product, repeat, starmap
+from itertools import accumulate, chain, product, repeat, starmap
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -161,8 +161,33 @@ class Dataset:
         records: Iterable[OutcomeRecord] = (),
         meta: Mapping[str, Any] | None = None,
     ) -> None:
-        blocks = ((s, [rec.outcomes for rec in run]) for s, run in groupby(records, key=lambda rec: rec.setting))
-        vars(self).update(vars(self.from_blocks(scenario, blocks, meta)))  # the fields from_cells set
+        rows = ((rec.setting, rec.outcomes) for rec in records)
+        vars(self).update(vars(self.from_rows(scenario, rows, meta)))  # the fields from_cells set
+
+    @classmethod
+    def from_rows(cls, scenario: Scenario, rows: Iterable, meta: Mapping | None = None, gather=None) -> "Dataset":
+        """The records of (setting, outcomes) ``rows`` in acquisition order or, with
+        ``gather``, the rows at those positions.  Each setting's rows are encoded in
+        one call; the error of the first faulty row carries its position as ``row``."""
+        groups: dict[tuple[str, ...], tuple[list, list]] = {}  # setting -> its rows' positions and outcomes
+        for position, (setting, outcomes) in enumerate(rows):
+            positions, values = groups.setdefault(setting, ([], []))
+            positions.append(position)
+            values.append(outcomes)
+        blocks, faults = [], []
+        for setting, (positions, values) in groups.items():
+            try:
+                codes = encode_rows(scenario, setting, values)
+                blocks.append((setting, setting_cells(scenario, setting, codes)))
+            except ContexcertError as exc:  # a setting fault lies in the setting's first row
+                exc.row = positions[getattr(exc, "row", 0)]
+                faults.append(exc)
+        if faults:
+            raise min(faults, key=lambda exc: exc.row)
+        order = [position for positions, _ in groups.values() for position in positions]
+        place = np.empty(len(order), code_dtype([len(order)]))  # each row's place among the blocks' rows
+        place[order] = np.arange(len(order))
+        return cls.from_cells(scenario, blocks, meta, place if gather is None else place[gather])
 
     @classmethod
     def from_blocks(

@@ -60,7 +60,7 @@ class MissingSettings(ContexcertError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one suite run byte for byte."""
+    """Everything needed to reproduce one suite run byte for byte; its defaults are the CLI's."""
 
     tolerance_policy: TolerancePolicy = StatisticalTolerance(3.0)
     randomness_policy: TolerancePolicy = StatisticalTolerance(4.0)
@@ -78,14 +78,9 @@ class RunConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
 
     def to_json(self) -> dict:
-        return {
-            "tolerance_policy": self.tolerance_policy.describe(),
-            "randomness_policy": self.randomness_policy.describe(),
-            "seed": self.seed,
-            "delta": self.delta,
-            "zero_mean_tolerance": self.zero_mean_tolerance,
-            "min_retained": self.min_retained,
-        }
+        """Every field, so a report names each setting its verdicts depend on."""
+        policies = ("tolerance_policy", "randomness_policy")
+        return {**vars(self), **{name: getattr(self, name).describe() for name in policies}}
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from contexcert import _simplex
+from contexcert import _simplex, cli
 from contexcert._simplex import SimplexFailure
+from contexcert.errors import ContexcertError
 from contexcert.cli import _parse_selections, main
 from contexcert.dataio import write_dataset_csv, write_scenario_json
 from contexcert.quantumgen import sample_lhv_dataset, sphere_lhv_model
 from contexcert.scenario import Dataset, Observable, OutcomeRecord, Scenario
+from contexcert.suite import RunConfig
 
 
 def run_cli(capsys, *argv):
@@ -782,3 +784,35 @@ def test_a_negative_coin_seed_is_refused(tmp_path, capsys):
     stream.write_text("1\n-1\n" * 100)
     code, out, err = run_cli(capsys, "randomness", "--stream", str(stream), "--seed", "1", "--selections", "prime,coin:-3")
     assert (code, out, err) == (1, "", "contexcert: error: seed must be non-negative, got -3\n")
+
+
+SUITE_INPUT = ["--data", "d.csv", "--scenario", "d.scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, target, config",
+    [
+        (["test", "chsh", *SUITE_INPUT], "run_inequality_test", lambda args: args[2]),
+        (["full-suite", *SUITE_INPUT, "--seed", "0"], "run_full_suite", lambda args: args[1]),
+        (
+            ["randomness", "--stream", "{stream}", "--seed", "0"],
+            "randomness_test",
+            lambda args: RunConfig(randomness_policy=args[2], min_retained=args[3]),
+        ),
+    ],
+    ids=["test", "full-suite", "randomness"],
+)
+def test_option_defaults_are_those_of_run_config(argv, target, config, tmp_path, capsys, monkeypatch):
+    stream = tmp_path / "seq.txt"
+    stream.write_text("1\n-1\n" * 100)
+    passed = []
+
+    def capture(*args):
+        passed.append(config(args))
+        raise ContexcertError("captured")
+
+    monkeypatch.setattr(cli, "ingest", lambda data, scenario: None)
+    monkeypatch.setattr(cli, target, capture)
+    code, out, err = run_cli(capsys, *(arg.format(stream=stream) for arg in argv))
+    assert (code, err) == (1, "contexcert: error: captured\n")
+    assert passed == [RunConfig()] and passed[0].to_json() == RunConfig().to_json()

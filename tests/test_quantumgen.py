@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,29 @@ class TestSamplersShareOneLoop:
         model = LhvModel(lambda rng, n: rng.random(n), lambda obs, lam: np.zeros(len(lam), dtype=int))
         with pytest.raises(ContexcertError, match="outcome 0 not in alphabet of A"):
             sample_lhv_dataset(model, [(("A", "B"), 3)], seed=1)
+
+    def test_quantum_draws_do_not_depend_on_the_piece_size(self, monkeypatch):
+        obs = [planar_observable(name, angle, qubit=q) for name, angle, q in (("A", 0.0, 0), ("B", 0.7, 1))]
+        settings = [((obs[0], obs[1]), 1000), ((obs[1], obs[0]), 77)]
+        whole = sample_quantum_dataset(singlet_state(), settings, seed=4)
+        monkeypatch.setattr(quantumgen, "DRAW_PIECE", 64)
+        pieces = sample_quantum_dataset(singlet_state(), settings, seed=4)
+        assert whole.recorded == pieces.recorded
+        assert whole.cells.dtype == pieces.cells.dtype and np.array_equal(whole.cells, pieces.cells)
+
+    def test_quantum_draw_holds_no_double_per_record(self):
+        # a setting's draw used to hold a double and an intp per record: 18 MB traced on 4x1M
+        angles = {"A1": 0.0, "A2": math.pi / 2, "B1": math.pi / 4, "B2": 3 * math.pi / 4}
+        obs = {name: planar_observable(name, a, qubit=int(name[0] == "B")) for name, a in angles.items()}
+        settings = [((obs[a], obs[b]), 1_000_000) for a in ("A1", "A2") for b in ("B1", "B2")]
+        tracemalloc.start()
+        try:
+            ds = sample_quantum_dataset(singlet_state(), settings, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 4_000_000
+        assert peak < 14 * 2**20, peak
 
     def test_quantum_sampler_hands_over_the_codes_it_drew(self, monkeypatch):
         def no_encode(*args):

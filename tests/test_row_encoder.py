@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contexcert import dataio
 from contexcert.dataio import (
     CSV_HEADER,
     ParseError,
@@ -260,7 +259,7 @@ class TestReaderMatchesFormerReader:
             calls.append((setting, rows))
             return encode_rows(scenario, setting, rows)
 
-        monkeypatch.setattr(dataio, "encode_rows", counting_encode_rows)
+        monkeypatch.setattr("contexcert.scenario.encode_rows", counting_encode_rows)
         scenario = Scenario((Observable("A"), Observable("B")), ({"A", "B"},))
         path = tmp_path / "d.csv"
         path.write_text(

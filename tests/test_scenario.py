@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from contexcert.scenario import (
     WrongArity,
     correlation,
     correlation_set,
+    encode_rows,
     estimate_table,
     marginalize,
 )
@@ -427,6 +429,42 @@ class TestDataset:
             Dataset(s, [OutcomeRecord(("A", "B"), (2, 1))])
         with pytest.raises(IncompatibleSetting):
             Dataset(s, [OutcomeRecord(("B", "C"), (1, 1))])
+
+    def test_interleaved_records_are_encoded_once_per_setting(self, monkeypatch):
+        # Dataset(records) used to encode each run of equal settings in its own call
+        s = two_obs_scenario()
+        rng = random.Random(1)
+        ordered = [
+            OutcomeRecord(setting, (rng.choice((1, -1)), rng.choice((1, -1))))
+            for setting in (("A", "B"), ("A", "C"), ("C", "A"))
+            for _ in range(100)
+        ]
+        shuffled = rng.sample(ordered, len(ordered))
+        calls = []
+
+        def counting_encode_rows(scenario, setting, rows):
+            calls.append(setting)
+            return encode_rows(scenario, setting, rows)
+
+        monkeypatch.setattr("contexcert.scenario.encode_rows", counting_encode_rows)
+        ds = Dataset(s, shuffled)
+        assert calls == list(dict.fromkeys(rec.setting for rec in shuffled))
+        assert list(ds) == shuffled and ds.cells.dtype == np.uint8
+        for setting in (("A", "B"), ("A", "C")):
+            assert estimate_table(ds, setting) == estimate_table(Dataset(s, ordered), setting)
+
+    @pytest.mark.parametrize(
+        "turn, row, message",
+        [(0, 4, "outcome 2 not in alphabet of C"), (5, 1, "outcome 5 not in alphabet of A")],
+    )
+    def test_the_first_faulty_record_is_named(self, turn, row, message):
+        # records 4 and 7 (A+C) and 6 (A+B) are faulty; turned by ``turn`` places
+        s = two_obs_scenario()
+        recs = records(("A", "B"), [(1, 1)] * 3) + records(("A", "C"), [(1, 1), (1, 2)])
+        recs += records(("A", "B"), [(1, 1), (5, 1)]) + records(("A", "C"), [(3, 1)])
+        with pytest.raises(ContexcertError) as exc:
+            Dataset(s, recs[turn:] + recs[:turn])
+        assert (str(exc.value), exc.value.row) == (message, row)
 
     def test_from_blocks_validates(self):
         s = two_obs_scenario()

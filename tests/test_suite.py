@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import deque
@@ -23,6 +24,7 @@ from contexcert.suite import (
     run_full_suite,
     run_inequality_test,
 )
+from contexcert.tolerances import FixedTolerance
 
 
 def tsirelson_dataset(n=20_000, seed=5):
@@ -166,6 +168,14 @@ class TestFullSuite:
         assert type(config.seed) is int
         report = run_full_suite(tsirelson_dataset(n=500), config)
         assert '"seed": 1,' in dumps_json(report.to_json())
+
+    def test_config_json_names_every_field(self):
+        config = RunConfig(FixedTolerance(0.02), seed=4)
+        assert list(config.to_json()) == [field.name for field in dataclasses.fields(RunConfig)]
+        assert config.to_json() == {
+            "tolerance_policy": "fixed:0.02", "randomness_policy": "k-sigma:4", "seed": 4,
+            "delta": 0.01, "zero_mean_tolerance": 0.05, "min_retained": 30,
+        }
 
 
 class TestExtractStreams:
