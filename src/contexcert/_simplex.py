@@ -10,7 +10,11 @@ variables.  Two implementations:
   integer-preserving ones of Edmonds (J. Res. NBS 71B, 1967) and Bareiss
   (Math. Comp. 22, 1968), with each row kept at the pivot of its last update
   so that a pivot rewrites only the rows it changes; no gcd is ever taken.
-  Its pivots and results are those of a ``Fraction`` tableau.
+  The tableau is condensed: Bareiss elimination leaves each basic column the
+  last pivot times a unit vector, so a row stores only the nonbasic columns
+  and its right-hand side, and a pivot hands the entering column's slot to
+  the leaving variable.  Its pivots and results are those of a ``Fraction``
+  tableau.
 
 The float tableau's pivots follow one contract, which a copy of its former
 loop in the tests checks bit for bit:
@@ -126,8 +130,6 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
         column[leave] = 0.0
         np.multiply.outer(column, pivot_row, out=update)
         T -= update
-        T[:, enter] = 0.0
-        T[leave, enter] = 1.0
         basis[leave] = enter
     else:
         raise SimplexFailure("phase-1 simplex iteration limit exceeded")
@@ -158,12 +160,22 @@ def phase1_exact(
     of that system times the last pivot p (p = 1 at the start); a pivot on
     q = E[l][e] replaces each row i != l by (E[i]*q - E[i][e]*E[l]) // p.
 
+    In E the column of a basic variable is p times a unit vector, so only
+    the n nonbasic columns and the right-hand side are stored: ``columns``
+    names the variable in each slot, structural ones first, and the m
+    artificials, basic at the start, have none.  A pivot on (l, e) hands
+    slot e to the leaving variable, whose column becomes -E[i][e] in each
+    row i != l ((0*q - E[i][e]*p) // p, as E[l] holds p there) and stays p
+    in row l.  That slot is written by the same update, with q + p standing
+    at e in the pivot row while the other rows are updated.
+
     Row i, the cost row (the last) included, is stored with a scale s_i,
     the pivot at its last update, and stands for E[i] = rows[i] * p / s_i.
     A row with a 0 entering entry would only be multiplied by q/p, so it is
-    skipped; any other becomes (rows[i]*q - rows[i][e]*E[l]) // s_i, the
-    eager update with p/s_i cancelled, so it divides exactly (E[l] is
-    rows[l] * p // s_l).  Updated rows and row l get scale q.
+    skipped, its slot e holding 0 as it should; any other becomes
+    (rows[i]*q - rows[i][e]*E[l]) // s_i, the eager update with p/s_i
+    cancelled, so it divides exactly (E[l] is rows[l] * p // s_l).  Updated
+    rows and row l get scale q.
 
     Every pivot is the one a Fraction tableau of the unscaled system takes:
     scales are pivots, all positive, so each entry has its eager sign, and
@@ -171,8 +183,13 @@ def phase1_exact(
     positive p*p/(s_i*s_l).  The reduced costs are D times the unscaled
     ones, each row the unscaled one times D (an artificial is basic in it)
     or 1, so the ratio test (ties to the lower basis index) ranks rows alike.
-    Hence x = rhs/s_i, and with s the cost row's scale, y = (s - cost)/s
-    over the artificial columns and the objective is -rhs/(s*D).
+    The lowest-numbered structural variable with a negative reduced cost
+    enters; a basic one has reduced cost 0, so dropping the basic columns
+    changes no choice.  x, y and the objective depend only on the final
+    basis and its rows: x = rhs/s_i, the objective is -rhs/(s*D) with s the
+    cost row's scale, and y = (s - d)/s over the artificials, d being an
+    artificial's stored cost entry once it has left the basis and 0 while
+    it is basic.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -182,32 +199,32 @@ def phase1_exact(
     scale = lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
     flip = [bi < 0 for bi in b]
     rows = []
-    for i, (row, bi, f) in enumerate(zip(A, b, flip)):
+    for row, bi, f in zip(A, b, flip):
         s = -scale if f else scale
-        tableau_row = [v.numerator * (s // v.denominator) for v in row] + [0] * m
-        tableau_row[n + i] = 1
+        tableau_row = [v.numerator * (s // v.denominator) for v in row]
         tableau_row.append(bi.numerator * (s // bi.denominator))
         rows.append(tableau_row)
     # The phase-1 reduced costs are the last row; its last slot holds minus
     # the objective, as a row's last slot holds its right-hand side.
     rows.append([-sum(col) for col in zip(*rows)] if rows else [0])
-    rows[m][n : n + m] = [0] * m
     scales = [1] * (m + 1)
+    columns = list(range(n))
     basis = list(range(n, n + m))
     p = 1
 
     max_iter = 500 * (m + n + 10)
     for _ in range(max_iter):
-        enter = next((j for j in range(n) if rows[m][j] < 0), None)
+        enter = min((j for j, d in zip(columns, rows[m]) if d < 0 and j < n), default=None)
         if enter is None:
             break
+        e = columns.index(enter)
         leave = None
         for i, row in enumerate(rows[:m]):
-            a = row[enter]
+            a = row[e]
             if a <= 0:
                 continue
             if leave is not None:
-                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                lhs, rhs = row[-1] * rows[leave][e], rows[leave][-1] * a
                 if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                     continue
             leave = i
@@ -217,14 +234,16 @@ def phase1_exact(
         pivot_row = rows[leave]
         if scales[leave] != p:
             pivot_row = rows[leave] = [v * p // scales[leave] for v in pivot_row]
-        q = pivot_row[enter]
+        q = pivot_row[e]
+        pivot_row[e] = q + p
         for i, (row, s) in enumerate(zip(rows, scales)):
-            f = row[enter]
+            f = row[e]
             if f and i != leave:
                 rows[i] = [(v * q - f * w) // s for v, w in zip(row, pivot_row)]
                 scales[i] = q
+        pivot_row[e] = p
         scales[leave] = p = q
-        basis[leave] = enter
+        columns[e], basis[leave] = basis[leave], enter
     else:
         raise SimplexFailure("exact phase-1 iteration limit exceeded")
 
@@ -234,5 +253,6 @@ def phase1_exact(
     for row, s_i, j in zip(rows, scales, basis):
         if j < n:
             x[j] = Fraction(row[-1], s_i)
-    y = [Fraction(cost[n + i] - s if f else s - cost[n + i], s) for i, f in enumerate(flip)]
+    reduced = dict(zip(columns, cost))  # an artificial still basic has reduced cost 0
+    y = [Fraction(s - reduced.get(n + i, 0), -s if f else s) for i, f in enumerate(flip)]
     return objective, x, y

@@ -253,14 +253,21 @@ def jpd_feasible(
         return FeasibilityResult("feasible", witness, None, slack=0.0)
 
     if exact:
-        # The functional's maximum over atoms, on integer numerators of y.
-        denominator = lcm(*(yr.denominator for yr in y))
-        numerators = [yr.numerator * (denominator // yr.denominator) for yr in y]
+        # The functional's value and its maximum over atoms, on integer
+        # numerators of y and of b, whose numerators over denominator are
+        # the weights of every cell but each table's last.
+        y_denominator = lcm(*(yr.denominator for yr in y))
+        numerators = [yr.numerator * (y_denominator // yr.denominator) for yr in y]
         bound = Fraction(
             max(sum(yr * a for yr, a in zip(numerators, col)) for col in zip(*A_int)),
-            denominator,
+            y_denominator,
         )
-        value = sum(yi * bi for yi, bi in zip(y, b))
+        b_numerators = [denominator] + [
+            w for lo, hi in zip(bounds, bounds[1:]) for w in weights[lo : hi - 1]
+        ]
+        value = Fraction(
+            sum(yr * br for yr, br in zip(numerators, b_numerators)), y_denominator * denominator
+        )
     else:
         bound = float((y @ A).max())
         value = float(y @ b)

@@ -190,21 +190,6 @@ class Dataset:
         return cls.from_cells(scenario, blocks, meta, place if gather is None else place[gather])
 
     @classmethod
-    def from_blocks(
-        cls,
-        scenario: Scenario,
-        blocks: Iterable[tuple[Sequence[str], Any]],
-        meta: Mapping[str, Any] | None = None,
-    ) -> "Dataset":
-        """Build directly from (setting, outcome-matrix) blocks.
-
-        Each matrix row is one record; values are validated against the
-        scenario's alphabets.
-        """
-        coded = [(tuple(s), encode_rows(scenario, tuple(s), rows)) for s, rows in blocks]
-        return cls.from_cells(scenario, ((s, setting_cells(scenario, s, codes)) for s, codes in coded), meta)
-
-    @classmethod
     def from_cells(cls, scenario: Scenario, blocks: Iterable, meta: Mapping | None = None, gather=None) -> "Dataset":
         """The one constructor: the records are the cells of (setting, cell numbers within the
         setting) blocks in acquisition order or, with ``gather``, those positions of them."""

@@ -500,11 +500,8 @@ class TestFullSuite:
             tuple(Observable(k, v) for k, v in alphabets.items()), tuple(map(frozenset, pairs))
         )
         rng = np.random.default_rng(2)
-        blocks = [
-            (pair, [tuple(rng.choice(alphabets[o]) for o in pair) for _ in range(200)])
-            for pair in pairs
-        ]
-        csv, scen = write_triangle(tmp_path, Dataset.from_blocks(scenario, blocks))
+        rows = [(pair, tuple(rng.choice(alphabets[o]) for o in pair)) for pair in pairs for _ in range(200)]
+        csv, scen = write_triangle(tmp_path, Dataset.from_rows(scenario, rows))
         argv = ["--data", str(csv), "--scenario", str(scen)]
         code, out, err = run_cli(capsys, "full-suite", *argv, "--seed", "1")
         assert code == 0, err

@@ -240,13 +240,13 @@ class TestEncoderProperties:
         expected = reference_block_codes(setting, scenario.alphabets(setting), rows)
         if isinstance(expected, str):
             with pytest.raises(ContexcertError) as exc:
-                Dataset.from_blocks(scenario, [(setting, rows)])
+                Dataset.from_rows(scenario, [(setting, row) for row in rows])
             assert str(exc.value) == expected
             return
         codes = encode_rows(scenario, setting, rows)
         assert codes.dtype == expected.dtype
         assert np.array_equal(codes, expected)
-        ds = Dataset.from_blocks(scenario, [(setting, rows)])
+        ds = Dataset.from_rows(scenario, [(setting, row) for row in rows])
         radices = [len(a) for a in scenario.alphabets(setting)]
         assert ds.recorded == (setting,)
         assert ds.cells.dtype == np.min_scalar_type(math.prod(radices) - 1)  # the narrowest
@@ -279,7 +279,7 @@ class TestWriterMatchesPerRowFormatter:
             order = tuple(data.draw(st.permutations(ids)))
             row = st.tuples(*(st.sampled_from(alphabets[obs]) for obs in order))
             blocks.append((order, data.draw(st.lists(row, min_size=1, max_size=20))))
-        ds = Dataset.from_blocks(scenario, blocks)
+        ds = Dataset.from_rows(scenario, [(order, row) for order, rows in blocks for row in rows])
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         write_dataset_csv(ds, path)
         assert path.read_text() == reference_csv(ds)
@@ -293,7 +293,7 @@ class TestWriterRefusesWhatItCannotReadBack:
     def test_outcome_value(self, value, tmp_path):
         alphabet = ("ok", value)
         scenario = Scenario((Observable("A", alphabet), Observable("B")), ({"A", "B"},))
-        ds = Dataset.from_blocks(scenario, [(("B", "A"), [(1, "ok"), (-1, value)])])
+        ds = Dataset.from_rows(scenario, [(("B", "A"), (1, "ok")), (("B", "A"), (-1, value))])
         path = tmp_path / "d.csv"
         if value == "":
             # the empty string reads back as itself
@@ -309,7 +309,7 @@ class TestWriterRefusesWhatItCannotReadBack:
     @pytest.mark.parametrize("obs_id", ["A+B", "A;B", " A", "A\nB"])
     def test_observable_id(self, obs_id, tmp_path):
         scenario = Scenario((Observable(obs_id), Observable("C")), ({obs_id, "C"},))
-        ds = Dataset.from_blocks(scenario, [(("C", obs_id), [(1, -1)])])
+        ds = Dataset.from_rows(scenario, [(("C", obs_id), (1, -1))])
         with pytest.raises(ContexcertError) as exc:
             write_dataset_csv(ds, tmp_path / "d.csv")
         assert str(exc.value) == (
@@ -318,6 +318,6 @@ class TestWriterRefusesWhatItCannotReadBack:
 
     def test_a_comma_in_an_id_reads_back(self, tmp_path):
         scenario = Scenario((Observable("A,1"), Observable("B")), ({"A,1", "B"},))
-        ds = Dataset.from_blocks(scenario, [(("A,1", "B"), [(1, -1), (-1, -1)])])
+        ds = Dataset.from_rows(scenario, [(("A,1", "B"), (1, -1)), (("A,1", "B"), (-1, -1))])
         write_dataset_csv(ds, tmp_path / "d.csv")
         assert list(read_dataset_csv(tmp_path / "d.csv", scenario)) == list(ds)

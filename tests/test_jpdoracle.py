@@ -445,6 +445,29 @@ class TestCycleResultsIndependently:
                 assert (value, bound) == (cert.value, cert.bound)
                 assert value > bound
 
+    def test_exact_certificate_when_last_cells_carry_their_own_denominator(self):
+        # P(X_i = 1) = 1/2, 1/3, 1/2 and no two are +1 together, which needs
+        # 4/3 of probability; each table's last cell, (-1, -1), is the only
+        # cell with denominator 6, and the LP drops it as implied
+        half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+        cells = {
+            ("X1", "X2"): (0, half, third, sixth),
+            ("X2", "X3"): (0, third, half, sixth),
+            ("X1", "X3"): (0, half, half, 0),
+        }
+        tables = {
+            pair: ProbTable(pair, dict(zip(product((1, -1), repeat=2), map(Fraction, ps))), ((1, -1),) * 2)
+            for pair, ps in cells.items()
+        }
+        system = MarginalConstraintSystem(("X1", "X2", "X3"), tuple(tables.items()))
+        res = jpd_feasible(system, exact=True)
+        assert res.status == "infeasible"
+        cert = res.certificate
+        value, bound = certificate_over_atoms(system, cert)
+        assert (value, bound) == (cert.value, cert.bound)
+        assert type(cert.value) is Fraction and cert.value > cert.bound
+        assert res.slack == cert.slack == float(value - bound)
+
     def test_float_certificates_separate_exactly(self):
         rng = np.random.default_rng(2024)
         for k in range(300):

@@ -142,9 +142,7 @@ def test_runs_write_the_same_bytes(tmp_path, monkeypatch):
 
 def test_a_refused_token_leaves_no_file(tmp_path):
     scenario = Scenario((Observable("A", ("ok", "a,b")), Observable("B")), ({"A", "B"},))
-    ds = Dataset.from_blocks(
-        scenario, [(("B", "A"), [(1, "ok")] * 5), (("A", "B"), [("a,b", 1)])]
-    )
+    ds = Dataset.from_rows(scenario, [(("B", "A"), (1, "ok"))] * 5 + [(("A", "B"), ("a,b", 1))])
     path = tmp_path / "d.csv"
     with pytest.raises(ContexcertError, match="would not read back"):
         write_dataset_csv(ds, path)

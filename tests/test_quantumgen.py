@@ -323,7 +323,7 @@ def reference_sample_quantum_dataset(state, settings, seed):
         "state_dim": state.dim,
         "settings": [{"pair": [a, b], "count": c} for (a, b), (_, c) in zip(pair_ids, settings)],
     }
-    return Dataset.from_blocks(scenario, blocks, meta)
+    return Dataset.from_rows(scenario, [(s, row) for s, rows in blocks for row in rows.tolist()], meta)
 
 
 def reference_sample_lhv_dataset(model, settings, seed):
@@ -349,7 +349,7 @@ def reference_sample_lhv_dataset(model, settings, seed):
         "subseed_scheme": SUBSEED_SCHEME,
         "settings": [{"pair": list(p), "count": c} for p, (_, c) in zip(pair_ids, settings)],
     }
-    return Dataset.from_blocks(scenario, blocks, meta)
+    return Dataset.from_rows(scenario, [(s, row) for s, rows in blocks for row in rows.tolist()], meta)
 
 
 def sampled(sampler, *args):
@@ -440,7 +440,7 @@ class TestSamplersShareOneLoop:
             raise AssertionError("encode_rows called")
 
         monkeypatch.setattr(quantumgen, "encode_rows", no_encode)
-        monkeypatch.setattr("contexcert.scenario.encode_rows", no_encode)  # from_blocks
+        monkeypatch.setattr("contexcert.scenario.encode_rows", no_encode)  # Dataset.from_rows
         obs = [planar_observable("A", 0.0, qubit=0), planar_observable("B", 0.7, qubit=1)]
         ds = sample_quantum_dataset(singlet_state(), [((obs[0], obs[1]), 50)], seed=4)
         assert ds.recorded == (("A", "B"),)

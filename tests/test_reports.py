@@ -181,7 +181,8 @@ def shared_datasets(draw):
         tuple(Observable(obs, alphabet) for obs, alphabet in alphabet_of.items()),
         tuple(frozenset(c) for c in contexts),
     )
-    return Dataset.from_blocks(scenario, [blocks[i] for i in order])
+    blocks = [blocks[i] for i in order]
+    return Dataset.from_rows(scenario, [(s, row) for s, rows in blocks for row in rows.tolist()])
 
 
 def summary(report):
@@ -225,15 +226,15 @@ class TestSignalingReport:
             (Observable("S"), Observable("P"), Observable("Q")),
             (frozenset("SP"), frozenset("SQ")),
         )
-        rows = np.array([[1, 1], [-1, -1]])
-        dataset = Dataset.from_blocks(scenario, [(("S", "P"), rows), (("S", "Q"), rows)])
+        rows = [(1, 1), (-1, -1)]
+        dataset = Dataset.from_rows(scenario, [(s, row) for s in (("S", "P"), ("S", "Q")) for row in rows])
         report = no_signaling_test(dataset, FixedTolerance(0.0))
         assert report.per_observable == {"S": 0.0}
         assert report.verdict == "no_signaling"
 
     def test_no_shared_observable_raises(self):
         scenario = Scenario((Observable("S"), Observable("P")), (frozenset("SP"),))
-        dataset = Dataset.from_blocks(scenario, [(("S", "P"), np.array([[1, -1]]))])
+        dataset = Dataset.from_rows(scenario, [(("S", "P"), (1, -1))])
         with pytest.raises(NoSharedObservables):
             no_signaling_test(dataset)
 
@@ -251,8 +252,8 @@ class TestSignalingReport:
             tuple(Observable(o) for o in ("S", "P0", "P1", "P2", "P3")),
             tuple(frozenset({"S", f"P{i}"}) for i in range(4)),
         )
-        rows = np.array([[1, 1], [-1, 1]])
-        dataset = Dataset.from_blocks(scenario, [(("S", f"P{i}"), rows) for i in range(4)])
+        rows = [(1, 1), (-1, 1)]
+        dataset = Dataset.from_rows(scenario, [(("S", f"P{i}"), row) for i in range(4) for row in rows])
         no_signaling_test(dataset)
         assert sorted(calls) == sorted(set(calls))
         assert len(calls) == 4

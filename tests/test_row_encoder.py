@@ -5,7 +5,7 @@ hands ``Dataset`` one cell number per record; ``extract_streams`` and
 ``apply_selection`` cut label streams from codes through
 ``LabelSequence.from_codes``.  The property tests keep the former paths as
 their references: the reader that parsed values and then called
-``Dataset.from_blocks``, and label streams built from values.
+``Dataset.from_rows``, and label streams built from values.
 """
 
 import random
@@ -51,7 +51,7 @@ FAULTS = ("value", "unknown", "repeat", "incompatible", "arity", "semicolon")
 
 def reference_read_dataset_csv(path, scenario):
     """``read_dataset_csv`` before the shared row encoder: values are parsed
-    and checked here, then ``Dataset.from_blocks`` encodes them."""
+    and checked here, then ``Dataset.from_rows`` encodes them."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
@@ -93,7 +93,7 @@ def reference_read_dataset_csv(path, scenario):
                 raise ValidationError(str(exc), index=lineno - 2) from None
             parsed[parts[1]] = outcomes
         rows.append(outcomes)
-    return Dataset.from_blocks(scenario, blocks)
+    return Dataset.from_rows(scenario, [(s, row) for s, rows in blocks for row in rows])
 
 
 def read_outcome(reader, path, scenario):
@@ -380,12 +380,12 @@ class TestStreamsFromCodes:
 
 def test_block_of_tuple_values_builds():
     scenario = Scenario((Observable("A", ((1, 2), (3, 4))), Observable("B")), ({"A", "B"},))
-    dataset = Dataset.from_blocks(scenario, [(("A",), [((1, 2),), ((3, 4),)])])
+    dataset = Dataset.from_rows(scenario, [(("A",), ((1, 2),)), (("A",), ((3, 4),))])
     assert dataset.recorded == (("A",),) and dataset.cells.tolist() == [0, 1]
     assert list(dataset) == [OutcomeRecord(("A",), ((1, 2),)), OutcomeRecord(("A",), ((3, 4),))]
     for rows in ([((1, 2),), ((1, 2), (3, 4))], [(1, 2)], [(1, 2), ((3, 4),)], [(1, 2, 3)]):
         with pytest.raises(ContexcertError, match="outcome matrix shape does not match setting"):
-            Dataset.from_blocks(scenario, [(("A",), rows)])
+            Dataset.from_rows(scenario, [(("A",), row) for row in rows])
 
 
 def test_iteration_decodes_tuple_valued_alphabets():

@@ -162,7 +162,7 @@ class TestEstimateTableProperty:
     @given(data=st.data())
     def test_matches_counter_recount(self, values, data):
         scenario, blocks, query = data.draw(scenario_and_blocks(values))
-        ds = Dataset.from_blocks(scenario, blocks)
+        ds = Dataset.from_rows(scenario, [(order, row) for order, rows in blocks for row in rows])
         canonical = scenario.canonical_setting(query)
         recount = Counter(
             tuple(row[order.index(obs)] for obs in canonical)
@@ -466,7 +466,7 @@ class TestDataset:
             Dataset(s, recs[turn:] + recs[:turn])
         assert (str(exc.value), exc.value.row) == (message, row)
 
-    def test_from_blocks_validates(self):
+    def test_encode_rows_validates_an_outcome_matrix(self):
         s = two_obs_scenario()
         with pytest.raises(ContexcertError):
-            Dataset.from_blocks(s, [(("A", "B"), np.array([[1, 2]]))])
+            encode_rows(s, ("A", "B"), np.array([[1, 2]]))

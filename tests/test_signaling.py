@@ -119,7 +119,7 @@ def dataset_from_probs(p_plus_in_ab, p_plus_in_ac, n, seed):
         a_col = np.where(rng.random(n) < p_plus, 1, -1)
         partner = np.where(rng.random(n) < 0.5, 1, -1)
         blocks.append((setting, np.column_stack([a_col, partner])))
-    return Dataset.from_blocks(s, blocks)
+    return Dataset.from_rows(s, [(setting, row) for setting, rows in blocks for row in rows.tolist()])
 
 
 class TestNoSignalingTest:

@@ -371,6 +371,31 @@ class TestPhase1Exact:
         assert (objective, x, y) == _eager_phase1_exact_reference(A, b)
         assert all(type(v) is Fraction for v in [objective, *x, *y])
 
+    def test_redundant_row_keeps_its_artificial_basic(self):
+        # row 1 is twice row 0: x0 enters through row 0 (a ratio tie, broken
+        # by the lower basis index), row 1 becomes all zero and its
+        # artificial stays basic, so its y entry is 1 - 0; row 2 makes the
+        # system infeasible (x0 = 2 against x0 + x1 = 1)
+        A = as_fractions([[1, 1], [2, 2], [1, 0]])
+        b = [Fraction(1), Fraction(2), Fraction(2)]
+        objective, x, y = phase1_exact(A, b)
+        assert (objective, x, y) == _fraction_phase1_reference(A, b)
+        assert (objective, y[1]) == (1, 1)
+        assert all(sum(yi * row[j] for yi, row in zip(y, A)) <= 0 for j in range(2))
+        assert sum(yi * bi for yi, bi in zip(y, b)) == objective
+
+    def test_negated_row_whose_artificial_leaves(self):
+        # row 0 is negated (x0 + x1 = 1) and x0 enters through it, so its
+        # artificial leaves with reduced cost 2: y0 = -(1 - 2) = 1, where a
+        # basic artificial of a negated row would give -1
+        A = as_fractions([[-1, -1], [1, 0]])
+        b = [Fraction(-1), Fraction(2)]
+        objective, x, y = phase1_exact(A, b)
+        assert (objective, x, y) == _fraction_phase1_reference(A, b)
+        assert (objective, x, y) == (1, [1, 0], [1, 1])
+        assert all(sum(yi * row[j] for yi, row in zip(y, A)) <= 0 for j in range(2))
+        assert sum(yi * bi for yi, bi in zip(y, b)) == objective
+
 
 def assert_same_bits(expected, got):
     (obj_e, x_e, y_e), (obj_g, x_g, y_g) = expected, got
