@@ -32,9 +32,7 @@ from .belltests import (
 from .jpdoracle import (
     FeasibilityResult,
     MarginalConstraintSystem,
-    fine_equivalence_check,
     jpd_feasible,
-    triple_jpd_feasible,
 )
 from .quantumgen import (
     DensityState,
@@ -58,7 +56,7 @@ from .randomtests import (
     stabilization_profile,
 )
 from .tolerances import FixedTolerance, StatisticalTolerance, parse_policy
-from .suite import CertReport, RunConfig, run_full_suite
+from .suite import CertReport, RunConfig, fine_equivalence_check, run_full_suite, triple_jpd_feasible
 
 __all__ = [
     "ContexcertError",

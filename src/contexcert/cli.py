@@ -130,7 +130,10 @@ def _parse_axes(text: str) -> dict[str, tuple[float, float, float]]:
         theta = parse_number(float, angle, f"--axes {item!r}")
         if not math.isfinite(theta):
             raise ContexcertError(f"--axes {item!r}: angle must be finite")
-        axes[obs_id.strip()] = (math.sin(theta), 0.0, math.cos(theta))
+        obs_id = obs_id.strip()
+        if obs_id in axes:
+            raise ContexcertError(f"--axes {item!r}: observable {obs_id!r} is given twice")
+        axes[obs_id] = (math.sin(theta), 0.0, math.cos(theta))
     return axes
 
 
@@ -179,8 +182,12 @@ def cmd_generate_state_file(args) -> None:
     except KeyError as exc:
         raise ParseError(f"state JSON missing field: {exc}") from None
     obs_data = json.loads(Path(args.observables).read_text())
+    observables = {}
     try:
-        observables = {o["id"]: _load_observable(o, state.dim) for o in obs_data}
+        for entry in obs_data:
+            if entry["id"] in observables:
+                raise ContexcertError(f"observables JSON: observable {entry['id']!r} is given twice")
+            observables[entry["id"]] = _load_observable(entry, state.dim)
     except KeyError as exc:
         raise ParseError(f"observables JSON missing field: {exc}") from None
     settings = []

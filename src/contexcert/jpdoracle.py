@@ -28,7 +28,6 @@ from typing import Any
 import numpy as np
 
 from . import _simplex
-from .belltests import ChshInput, Outcome, TripleInput, chsh_test
 from .errors import ContexcertError
 from .scenario import DICHOTOMIC, ProbTable, cell_index
 from .tolerances import require_nonnegative
@@ -314,37 +313,3 @@ def zero_mean_system(
             for pair, corr in zip(pairs, correlations)
         ),
     )
-
-
-def triple_system_from_correlations(
-    c12, c23, c13, ids: tuple[str, str, str] = ("X1", "X2", "X3"), exact: bool = False
-) -> MarginalConstraintSystem:
-    x1, x2, x3 = ids
-    return zero_mean_system(ids, ((x1, x2), (x2, x3), (x1, x3)), (c12, c23, c13), exact)
-
-
-def quadrupole_system_from_chsh(
-    chsh: ChshInput, exact: bool = False
-) -> MarginalConstraintSystem:
-    """Zero-mean pair tables induced from the four CHSH correlations."""
-    return zero_mean_system(
-        chsh.a_block + chsh.b_block, chsh.term_pairs, chsh.term_values(), exact
-    )
-
-
-def triple_jpd_feasible(
-    triple: TripleInput,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    exact: bool = False,
-) -> FeasibilityResult:
-    """JPD existence for a zero-mean correlation triple via the induced tables."""
-    triple.require_zero_mean()
-    system = zero_mean_system(triple.triple, triple.pairs, triple.pair_values(), exact)
-    return jpd_feasible(system, feasibility_tol=feasibility_tol, exact=exact)
-
-
-def fine_equivalence_check(chsh: ChshInput, tolerance: float = FEASIBILITY_TOL) -> bool:
-    """True iff LP feasibility and the permutation-maximum inequality agree."""
-    result = jpd_feasible(quadrupole_system_from_chsh(chsh), feasibility_tol=tolerance)
-    violated = chsh_test(chsh, tolerance).outcome is Outcome.PASSED_CONTEXTUALITY_TEST
-    return result.feasible != violated

@@ -103,10 +103,6 @@ class ProjectiveObservable:
     def dim(self) -> int:
         return self.projectors[1].shape[0]
 
-    @property
-    def alphabet(self) -> tuple:
-        return DICHOTOMIC
-
 
 def commute(x: ProjectiveObservable, y: ProjectiveObservable) -> bool:
     """Whether every projector of x commutes with every projector of y."""

@@ -275,11 +275,6 @@ def frequency(seq: LabelSequence, label) -> float:
     return float(np.count_nonzero(seq.codes == idx)) / len(seq)
 
 
-def frequencies(seq: LabelSequence) -> dict:
-    counts = np.bincount(seq.codes, minlength=len(seq.labels))
-    return {label: counts[i] / len(seq) for i, label in enumerate(seq.labels)}
-
-
 def _selection_counts(
     seq: LabelSequence, selections: Sequence[PlaceSelection]
 ) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -477,9 +477,10 @@ class CorrelationSet:
     """Pairwise +-1 correlations plus per-observable means.
 
     ``means`` keeps the first marginal encountered per observable;
-    ``mean_candidates`` keeps every (pair table, mean) candidate so that
-    cross-context discrepancies can be handed to the signaling test instead
-    of being silently averaged.
+    ``mean_candidates`` keeps every (pair table, mean) candidate, so that
+    :meth:`max_abs_mean` checks the zero-mean precondition in every context
+    an observable was measured in, not only the first.  The signaling test
+    does not read them; it estimates its own marginals from the dataset.
     """
 
     entries: Mapping[frozenset, float]

@@ -39,7 +39,9 @@ from .belltests import (
     sz_test,
 )
 from .errors import ContexcertError
-from .jpdoracle import quadrupole_system_from_chsh, jpd_feasible, triple_jpd_feasible
+from .jpdoracle import (
+    FEASIBILITY_TOL, FeasibilityResult, MarginalConstraintSystem, jpd_feasible, zero_mean_system
+)
 from .quantumgen import PRNG_NAME
 from .randomtests import (
     LabelSequence,
@@ -333,6 +335,37 @@ def run_full_suite(dataset: Dataset, config: RunConfig) -> CertReport:
     )
 
 
+def quadrupole_system_from_chsh(
+    chsh: ChshInput, exact: bool = False
+) -> MarginalConstraintSystem:
+    """Zero-mean pair tables induced from the four CHSH correlations."""
+    return zero_mean_system(
+        chsh.a_block + chsh.b_block, chsh.term_pairs, chsh.term_values(), exact
+    )
+
+
+def triple_jpd_feasible(
+    triple: TripleInput,
+    feasibility_tol: float = FEASIBILITY_TOL,
+    exact: bool = False,
+) -> FeasibilityResult:
+    """JPD existence for a zero-mean correlation triple via the induced tables."""
+    triple.require_zero_mean()
+    system = zero_mean_system(triple.triple, triple.pairs, triple.pair_values(), exact)
+    return jpd_feasible(system, feasibility_tol=feasibility_tol, exact=exact)
+
+
+def oracle_agrees(feasibility: FeasibilityResult, verdict: TestVerdict) -> bool:
+    """The agreement rule: the oracle is feasible exactly where the test rejects contextuality."""
+    return feasibility.feasible == (verdict.outcome is Outcome.REJECTED_NONCONTEXTUAL)
+
+
+def fine_equivalence_check(chsh: ChshInput, tolerance: float = FEASIBILITY_TOL) -> bool:
+    """True iff LP feasibility and the permutation-maximum inequality agree."""
+    result = jpd_feasible(quadrupole_system_from_chsh(chsh), feasibility_tol=tolerance)
+    return oracle_agrees(result, chsh_test(chsh, tolerance))
+
+
 def _oracle_cross_check(which: str, run: InequalityRun) -> dict | None:
     """The LP oracle on the tables behind a CHSH or Suppes-Zanotti verdict."""
     if which == "chsh":
@@ -355,7 +388,7 @@ def _oracle_cross_check(which: str, run: InequalityRun) -> dict | None:
         **entry,
         "status": feas.status,
         "slack": feas.slack,
-        agrees: feas.feasible == (run.verdict.outcome is Outcome.REJECTED_NONCONTEXTUAL),
+        agrees: oracle_agrees(feas, run.verdict),
     }
 
 

@@ -29,8 +29,7 @@ from contexcert.cli import main as cli_main
 from contexcert.jpdoracle import (
     jpd_feasible,
     pair_table_from_correlation,
-    quadrupole_system_from_chsh,
-    triple_system_from_correlations,
+    zero_mean_system,
     MarginalConstraintSystem,
 )
 from contexcert.quantumgen import (
@@ -50,6 +49,7 @@ from contexcert.randomtests import (
 )
 from contexcert.scenario import CorrelationSet, correlation_set
 from contexcert.signaling import no_signaling_test, signaling_deviation
+from contexcert.suite import quadrupole_system_from_chsh
 from contexcert.tolerances import StatisticalTolerance
 
 pytestmark = pytest.mark.acceptance
@@ -171,12 +171,14 @@ def test_criterion_3_fine_equivalence_grid():
 def test_criterion_4_suppes_zanotti_equivalence_grid():
     t0 = time.perf_counter()
     grid = [k / 20.0 for k in range(-20, 21)]  # 0.05 step
+    triple = ("X1", "X2", "X3")
+    pairs = (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))
     disagreements = 0
     checked = 0
     for c12, c23, c13 in product(grid, repeat=3):
         checked += 1
         feasible = jpd_feasible(
-            triple_system_from_correlations(c12, c23, c13)
+            zero_mean_system(triple, pairs, (c12, c23, c13))
         ).feasible
         lower, upper = sz_bounds(c12, c23, c13)
         s = c12 + c23 + c13

@@ -25,7 +25,6 @@ from contexcert.belltests import (
 )
 from contexcert.errors import ContexcertError
 from contexcert.quantumgen import singlet_correlation
-from contexcert.jpdoracle import triple_jpd_feasible
 from contexcert.scenario import (
     CorrelationSet,
     Dataset,
@@ -34,6 +33,7 @@ from contexcert.scenario import (
     Scenario,
     correlation_set,
 )
+from contexcert.suite import triple_jpd_feasible
 
 R = math.sqrt(2) / 2
 

@@ -618,6 +618,12 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
         ({"matrix": [["abc", 0, 0, 0], *RHO[1:]]}, [], "state JSON: cannot read 'abc' as a number"),
         ({"matrix": RHO}, [{"id": "A1", "angle": "nan"}], "A1: angle must be finite, got nan"),
         ({"matrix": RHO}, [{"id": "A1", "angle": "inf"}], "A1: angle must be finite, got inf"),
+        # the second definition used to replace the first without a word
+        (
+            {"matrix": RHO},
+            [{"id": "A1", "angle": 0}, {"id": "A1", "angle": 1}],
+            "observables JSON: observable 'A1' is given twice",
+        ),
     ],
     ids=[
         "observable without id",
@@ -631,6 +637,7 @@ def test_malformed_option_value_is_an_operational_error(argv, tmp_path, capsys, 
         "state entry not a number",
         "angle nan",
         "angle inf",
+        "observable id twice",
     ],
 )
 def test_state_file_missing_field(state, observables, message, tmp_path, capsys):
@@ -642,6 +649,16 @@ def test_state_file_missing_field(state, observables, message, tmp_path, capsys)
         "--seed", "1", "--out", str(tmp_path / "g.csv"),
     )
     assert (code, out, err) == (1, "", f"contexcert: error: {message}\n")
+
+
+def test_lhv_axes_refuse_an_observable_given_twice(tmp_path, capsys):
+    # the later A1 entry used to replace the first, and 40 records were written
+    code, out, err = run_cli(
+        capsys, "generate", "lhv", "--axes", "A1:0,A2:1.5708,B1:0.7854,B2:2.3562,A1:3",
+        "--n", "10", "--seed", "1", "--out", str(tmp_path / "g.csv"),
+    )
+    assert (code, out, err) == (1, "", "contexcert: error: --axes 'A1:3': observable 'A1' is given twice\n")
+    assert not (tmp_path / "g.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

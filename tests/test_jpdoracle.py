@@ -1,14 +1,17 @@
+import ast
 import math
 import random
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contexcert.jpdoracle
 from contexcert.belltests import ChshInput, TripleInput, ZeroMeanViolated, chsh_max, sz_test
 from contexcert.errors import ContexcertError
 from contexcert.jpdoracle import (
@@ -16,15 +19,13 @@ from contexcert.jpdoracle import (
     InconsistentConstraints,
     MarginalConstraintSystem,
     TooManyVariables,
-    fine_equivalence_check,
     jpd_feasible,
     pair_table_from_correlation,
-    quadrupole_system_from_chsh,
-    triple_jpd_feasible,
-    triple_system_from_correlations,
+    zero_mean_system,
     _lp_pattern,
 )
 from contexcert.scenario import CorrelationSet, ProbTable, marginalize
+from contexcert.suite import fine_equivalence_check, quadrupole_system_from_chsh, triple_jpd_feasible
 
 
 def chsh_input(c11, c12, c21, c22):
@@ -123,7 +124,9 @@ class TestJpdFeasible:
             assert math.isclose(res.witness.prob(cell), table.prob(cell), abs_tol=1e-9)
 
     def test_all_anticorrelated_triple_infeasible(self):
-        res = jpd_feasible(triple_system_from_correlations(-1.0, -1.0, -1.0))
+        triple = ("X1", "X2", "X3")
+        pairs = (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))
+        res = jpd_feasible(zero_mean_system(triple, pairs, (-1.0, -1.0, -1.0)))
         assert res.status == "infeasible"
         # brute force over all 8 atoms confirms no solution exists
         assert not brute_force_triple_feasible(-1, -1, -1, grid=201)
@@ -630,3 +633,18 @@ class TestSharedMarginalCheck:
             assert tuple(named.split(",")) in differing
         else:
             assert jpd_feasible(system, exact=exact).status in ("feasible", "infeasible")
+
+
+def test_the_oracle_imports_no_test_it_referees():
+    """The oracle is the ground truth the inequality tests are checked against,
+    so it must not be built from them: ``jpdoracle`` imports neither the Bell
+    tests nor the suite that compares the two."""
+    source = Path(contexcert.jpdoracle.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or "", *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"belltests", "suite"}, sorted(imported)

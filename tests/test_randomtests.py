@@ -22,7 +22,6 @@ from contexcert.randomtests import (
     UnknownLabel,
     apply_selection,
     frequency,
-    frequencies,
     randomness_test,
     selection_mask,
     stabilization_profile,
@@ -322,7 +321,8 @@ def _reference_randomness_test(seq, selections, policy, min_retained):
         raise ContexcertError("need at least one selection")
     if min_retained < 30:
         raise ContexcertError("min_retained must be at least 30")
-    overall = frequencies(seq)
+    counts = np.bincount(seq.codes, minlength=len(seq.labels)) / len(seq)
+    overall = dict(zip(seq.labels, counts))
 
     results = []
     for sel in selections:

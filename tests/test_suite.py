@@ -86,6 +86,28 @@ class TestFullSuite:
         quad_oracle = [o for o in data["oracle"] if o["system"] == "quadrupole"]
         assert quad_oracle[0]["status"] == "feasible"
 
+    def test_chsh_within_tolerance_above_2_disagrees_with_the_oracle(self):
+        # Each pair: 1505 (1,1), 1505 (-1,-1), 495 (1,-1), 495 (-1,1), so every
+        # mean is 0 and every correlation +-0.505; the signs put CHSH at 2.02,
+        # inside its 3-sigma tolerance.  The oracle, at its fixed 1e-9, finds no
+        # joint distribution, so the two disagree.  This states today's rule.
+        s = Scenario(
+            observables=tuple(Observable(k) for k in ("A1", "A2", "B1", "B2")),
+            compatible_sets=tuple(frozenset((x, y)) for x in ("A1", "A2") for y in ("B1", "B2")),
+        )
+        recs = []
+        for pair in [(x, y) for x in ("A1", "A2") for y in ("B1", "B2")]:
+            same, different = (1505, 495) if pair != ("A2", "B2") else (495, 1505)
+            for outcome, n in [((1, 1), same), ((-1, -1), same), ((1, -1), different), ((-1, 1), different)]:
+                recs += [OutcomeRecord(pair, outcome)] * n
+        data = run_full_suite(Dataset(s, recs), RunConfig(seed=1)).to_json()
+        chsh = next(t for t in data["tests"] if t["test"] == "chsh")
+        assert math.isclose(chsh["statistic"], 2.02)
+        assert chsh["outcome"] == "rejected_noncontextual"
+        quad_oracle = [o for o in data["oracle"] if o["system"] == "quadrupole"]
+        assert quad_oracle[0]["status"] == "infeasible"
+        assert quad_oracle[0]["agrees_with_chsh"] is False
+
     def test_triple_pipeline(self):
         axes = {"X1": (0, 0, 1.0), "X2": (1.0, 0, 0), "X3": (0, 1.0, 0)}
         model = sphere_lhv_model(axes)
