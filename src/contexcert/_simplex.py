@@ -5,16 +5,16 @@ variables.  Two implementations:
 
 * a dense float64 tableau (fast path), and
 * an exact, fraction-free integer tableau using Bland's rule throughout
-  (used where tolerance ambiguity must be ruled out).  Its rows are scaled
-  to integers by the common denominator of A and b, and its pivots are the
-  integer-preserving ones of Edmonds (J. Res. NBS 71B, 1967) and Bareiss
-  (Math. Comp. 22, 1968), with each row kept at the pivot of its last update
-  so that a pivot rewrites only the rows it changes; no gcd is ever taken.
-  The tableau is condensed: Bareiss elimination leaves each basic column the
-  last pivot times a unit vector, so a row stores only the nonbasic columns
-  and its right-hand side, and a pivot hands the entering column's slot to
-  the leaving variable.  Its pivots and results are those of a ``Fraction``
-  tableau.
+  (used where tolerance ambiguity must be ruled out).  A is scaled to
+  integers by its own common denominator, and only the right-hand side also
+  by that of b; its pivots are the integer-preserving ones of Edmonds
+  (J. Res. NBS 71B, 1967) and Bareiss (Math. Comp. 22, 1968), with each row
+  kept at the pivot of its last update so that a pivot rewrites only the
+  rows it changes; no gcd is ever taken.  The tableau is condensed: Bareiss
+  elimination leaves each basic column the last pivot times a unit vector,
+  so a row stores only the nonbasic columns and its right-hand side, and a
+  pivot hands the entering column's slot to the leaving variable.  Its
+  pivots and results are those of a ``Fraction`` tableau.
 
 The float tableau's pivots follow one contract, which a copy of its former
 loop in the tests checks bit for bit:
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from numbers import Rational
 
@@ -147,18 +148,28 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
     return float(objective), x, y
 
 
+@lru_cache(maxsize=128)
+def _integer_rows(A: tuple[tuple[Rational, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``A``'s rows times its common denominator, as ints, and that denominator."""
+    scale = lcm(*(v.denominator for row in A for v in row))
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in A), scale
+
+
 def phase1_exact(
     A: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Exact phase-1 with Bland's rule; returns (objective, x, y) as Fractions.
 
     ``A`` and ``b`` hold ints or Fractions.  Rows with negative ``b`` are
-    negated, then multiplied by the common denominator D of ``A`` and
-    ``b``, while the artificial identity block stays unscaled: A x + a = b
-    becomes (D A) x + a' = D b with a' = D a, the same x and each
-    artificial times D.  The eager Bareiss tableau E is the rational tableau
-    of that system times the last pivot p (p = 1 at the start); a pivot on
-    q = E[l][e] replaces each row i != l by (E[i]*q - E[i][e]*E[l]) // p.
+    negated.  ``A`` is multiplied by its own common denominator D_A (1 for
+    integer ``A``; the integer rows are cached per ``A``) and ``b`` by
+    D_A * D_b, D_b being the common denominator of ``b``, while the
+    artificial identity block stays unscaled: A x + a = b becomes
+    (D_A A) x' + a' = D_A D_b b with x' = D_b x and a' = D_A D_b a.  So only
+    the right-hand side carries the data's denominator.  The eager Bareiss
+    tableau E is the rational tableau of that system times the last pivot p
+    (p = 1 at the start); a pivot on q = E[l][e] replaces each row i != l by
+    (E[i]*q - E[i][e]*E[l]) // p.
 
     In E the column of a basic variable is p times a unit vector, so only
     the n nonbasic columns and the right-hand side are stored: ``columns``
@@ -180,30 +191,32 @@ def phase1_exact(
     Every pivot is the one a Fraction tableau of the unscaled system takes:
     scales are pivots, all positive, so each entry has its eager sign, and
     the cross-multiplied ratio test compares eager products divided by one
-    positive p*p/(s_i*s_l).  The reduced costs are D times the unscaled
-    ones, each row the unscaled one times D (an artificial is basic in it)
-    or 1, so the ratio test (ties to the lower basis index) ranks rows alike.
+    positive p*p/(s_i*s_l).  The reduced costs are D_A times the unscaled
+    ones, and each ratio is D_b times the unscaled one (a row is the
+    unscaled one times D_A where an artificial is basic in it, else 1, with
+    its right-hand side times D_b more), so the ratio test (ties to the
+    lower basis index) ranks rows alike.
     The lowest-numbered structural variable with a negative reduced cost
     enters; a basic one has reduced cost 0, so dropping the basic columns
     changes no choice.  x, y and the objective depend only on the final
-    basis and its rows: x = rhs/s_i, the objective is -rhs/(s*D) with s the
-    cost row's scale, and y = (s - d)/s over the artificials, d being an
-    artificial's stored cost entry once it has left the basis and 0 while
-    it is basic.
+    basis and its rows: x = rhs/(s_i*D_b), the objective is
+    -rhs/(s*D_A*D_b) with s the cost row's scale, and y = (s - d)/s over the
+    artificials, d being an artificial's stored cost entry once it has left
+    the basis and 0 while it is basic.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     if len(b) != m:
         raise ContexcertError("b length does not match A rows")
 
-    scale = lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
-    flip = [bi < 0 for bi in b]
+    A_rows, A_scale = _integer_rows(tuple(map(tuple, A)))
+    b_scale = lcm(*(v.denominator for v in b))
+    rhs_scale = A_scale * b_scale
+    flip = [bi.numerator < 0 for bi in b]
     rows = []
-    for row, bi, f in zip(A, b, flip):
-        s = -scale if f else scale
-        tableau_row = [v.numerator * (s // v.denominator) for v in row]
-        tableau_row.append(bi.numerator * (s // bi.denominator))
-        rows.append(tableau_row)
+    for row, bi, f in zip(A_rows, b, flip):
+        rhs = bi.numerator * (rhs_scale // bi.denominator)
+        rows.append([-v for v in row] + [-rhs] if f else [*row, rhs])
     # The phase-1 reduced costs are the last row; its last slot holds minus
     # the objective, as a row's last slot holds its right-hand side.
     rows.append([-sum(col) for col in zip(*rows)] if rows else [0])
@@ -248,11 +261,11 @@ def phase1_exact(
         raise SimplexFailure("exact phase-1 iteration limit exceeded")
 
     cost, s = rows.pop(), scales.pop()
-    objective = Fraction(-cost[-1], s * scale)
+    objective = Fraction(-cost[-1], s * rhs_scale)
     x = [Fraction(0)] * n
     for row, s_i, j in zip(rows, scales, basis):
         if j < n:
-            x[j] = Fraction(row[-1], s_i)
+            x[j] = Fraction(row[-1], s_i * b_scale)
     reduced = dict(zip(columns, cost))  # an artificial still basic has reduced cost 0
     y = [Fraction(s - reduced.get(n + i, 0), -s if f else s) for i, f in enumerate(flip)]
     return objective, x, y

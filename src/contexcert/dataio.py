@@ -235,8 +235,8 @@ def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
         tuple(a) for a in data.get("alphabets", [list(DICHOTOMIC)] * len(support))
     )
     probs = {}
-    # Fraction(str(p)) reads the decimal literal exactly (0.1 -> 1/10), which
-    # is what exact mode needs from hand-written JSON
+    # Fraction(str(p)) reads a float as its shortest decimal repr (0.1 -> 1/10),
+    # and a Fraction or an int as itself
     number = (lambda p: Fraction(str(p))) if exact else float
     for key, p in _json_field(data, "probs", dict, "an object of cell probabilities").items():
         cell = tuple(_parse_value(tok) for tok in str(key).split(","))
@@ -250,9 +250,12 @@ def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
 
 
 def read_constraint_system(path: str | Path, exact: bool = False) -> MarginalConstraintSystem:
-    """JSON schema: {"variables": [...], "constraints": [{support, probs}]}"""
+    """JSON schema: {"variables": [...], "constraints": [{support, probs}]}
+
+    With ``exact`` every JSON number with a fraction or exponent is read as the
+    Fraction of its decimal literal, which a double would round past 17 digits."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), parse_float=Fraction if exact else float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid constraint JSON: {exc}") from None
     try:

@@ -218,10 +218,10 @@ def jpd_feasible(
                     f"exact mode requires each table to sum to exactly 1; "
                     f"constraint {ci} over {','.join(sup)} sums to {Fraction(total, denominator)}"
                 )
-        number, tol = Fraction, 0
+        tol = 0
     else:
         weights = [float(p) for cells in probs for p in cells]
-        number, tol = float, SIGNALING_PRECHECK_TOL
+        tol = SIGNALING_PRECHECK_TOL
     sums = [0] * n_sums
     for k, i in plan:
         sums[k] += weights[i]
@@ -235,19 +235,20 @@ def jpd_feasible(
                     f"beyond {tol:g}; the system is signaling, not merely infeasible"
                 )
 
-    b = [number(1)] + [number(p) for cells in probs for p in cells[:-1]]
+    b = [1] + [p for cells in probs for p in cells[:-1]]
     if exact:
         objective, x, y = _simplex.phase1_exact(A_int, b)
         feasible = objective == 0
     else:
-        b = np.array(b)
+        b = np.array(b, dtype=np.float64)
         objective, x, y = _simplex.phase1_dense(A, b)
         feasible = objective <= feasibility_tol
         x = x.tolist()
 
     if feasible:
+        # x >= 0 (the float solver clips it), so its nonzero entries are the atoms
         witness = ProbTable(
-            system.variables, {atom: p for atom, p in zip(atoms, x) if p > 0}, (DICHOTOMIC,) * n
+            system.variables, {atom: p for atom, p in zip(atoms, x) if p}, (DICHOTOMIC,) * n
         )
         return FeasibilityResult("feasible", witness, None, slack=0.0)
 

@@ -342,8 +342,8 @@ class ProbTable:
             if key not in cells:
                 raise ContexcertError(f"outcome tuple {key} outside alphabet product")
             # NaN fails both comparisons; a Fraction is never infinite, and
-            # comparing one with a float infinity is slow
-            if not (0 <= value and (type(value) is Fraction or value < math.inf)):
+            # comparing one with an int or a float is slow
+            if not (value.numerator >= 0 if type(value) is Fraction else 0 <= value < math.inf):
                 kind = "negative" if value < 0 else "non-finite"
                 raise ContexcertError(f"{kind} probability {value!r} at {key}")
         total = _accurate_sum(probs.values())

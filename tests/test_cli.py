@@ -350,6 +350,20 @@ class TestOracle:
         assert out == ""
         assert "signaling" in err
 
+    def test_exact_reads_long_literals_without_rounding(self, tmp_path, capsys):
+        # 19 significant digits each, summing to exactly 1; through a double
+        # they would sum to 49999999999999999/50000000000000000
+        path = tmp_path / "sys.json"
+        path.write_text(
+            '{"variables": ["A", "B"], "constraints": [{"support": ["A", "B"], '
+            '"probs": {"1,1": 0.1234567890123456789, "-1,-1": 0.8765432109876543211}}]}'
+        )
+        code, out, err = run_cli(capsys, "oracle", "--constraints", str(path), "--exact")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["status"] == "feasible"
+        assert data["witness"]["probs"]["1,1"] == 0.1234567890123456789
+
 
 class TestRandomness:
     def test_stream_battery(self, tmp_path, capsys):

@@ -306,6 +306,10 @@ class TestPhase1Dense:
                 check_farkas(A, b, y, obj)
 
 
+# 10^k plus the least offset that makes a prime, for k = 5, 10, ..., 30
+LARGE_PRIMES = (10**5 + 3, 10**10 + 19, 10**15 + 37, 10**20 + 39, 10**25 + 13, 10**30 + 57)
+
+
 class TestPhase1Exact:
     def test_feasible(self):
         A = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
@@ -370,6 +374,38 @@ class TestPhase1Exact:
         assert (objective, x, y) == _fraction_phase1_reference(A_ref, b_ref)
         assert (objective, x, y) == _eager_phase1_exact_reference(A, b)
         assert all(type(v) is Fraction for v in [objective, *x, *y])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_large_b_denominators(self, data):
+        # b's denominators are products of primes up to about 10^30, coprime
+        # to A's (at most 7); rows are free, consistent with a point x0 >= 0
+        # over those primes, or negated copies (so b < 0).  A given as lists
+        # and as a tuple of tuples gives the same results.
+        prime = st.sampled_from(LARGE_PRIMES)
+        big = st.builds(
+            lambda k, p, q: Fraction(k, p * q),
+            st.integers(-(10**31), 10**31),
+            prime,
+            st.sampled_from((1, *LARGE_PRIMES)),
+        )
+        entry = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+        m = data.draw(st.integers(1, 6), label="rows")
+        n = data.draw(st.integers(1, 8), label="columns")
+        x0 = data.draw(st.lists(st.one_of(st.just(0), big.map(abs)), min_size=n, max_size=n))
+        A, b = [], []
+        for _ in range(m):
+            kind = data.draw(st.sampled_from(["free", "consistent"] + (["negated"] if A else [])))
+            if kind == "negated":
+                i = data.draw(st.integers(0, len(A) - 1))
+                A.append([-v for v in A[i]])
+                b.append(-b[i])
+            else:
+                A.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
+                b.append(data.draw(big) if kind == "free" else sum(u * v for u, v in zip(A[-1], x0)))
+        expected = _fraction_phase1_reference(as_fractions(A), [Fraction(v) for v in b])
+        assert phase1_exact(A, b) == expected
+        assert phase1_exact(tuple(map(tuple, A)), b) == expected
 
     def test_redundant_row_keeps_its_artificial_basic(self):
         # row 1 is twice row 0: x0 enters through row 0 (a ratio tie, broken
@@ -566,6 +602,28 @@ class TestExactPivotsMatchReference:
         cs = (Fraction(1, 2), Fraction(-3, 10), Fraction(1), Fraction(0))
         jpd_feasible(zero_mean_system(("A1", "A2", "B1", "B2"), pairs, cs, exact=True), exact=True)
         assert oracle_exact_solves == list(exact_grid_systems(pairs, [cs]))
+
+    @pytest.mark.parametrize(
+        "n_same, totals, feasible",
+        [
+            # about the singlet's +-1/sqrt(2): CHSH about 2.83
+            ((85357, 85350, 85366, 14644), (100_003, 99_991, 100_019, 99_989), False),
+            # CHSH = 2 exactly, the boundary, and 2 + 2/100003 just past it
+            ((75002, 75002, 75002, 25000), (100_003,) * 4, True),
+            ((75002, 75002, 75003, 25000), (100_003,) * 4, False),
+            # CHSH about 1.9998, and every other sign pattern below 2 too
+            ((75002, 74990, 75010, 25001), (100_003, 99_991, 100_019, 99_989), True),
+        ],
+    )
+    def test_count_ratio_quadrupole(self, oracle_exact_solves, n_same, totals, feasible):
+        # zero-mean CHSH data whose correlations are the count ratios
+        # (n_same - n_diff) / n of about 10^5 records per setting
+        pairs = (("A1", "B1"), ("A1", "B2"), ("A2", "B1"), ("A2", "B2"))
+        cs = [Fraction(2 * k - n, n) for k, n in zip(n_same, totals)]
+        system = zero_mean_system(("A1", "A2", "B1", "B2"), pairs, cs, exact=True)
+        assert jpd_feasible(system, exact=True).feasible is feasible
+        [(A, b)] = oracle_exact_solves
+        assert phase1_exact(A, b) == _fraction_phase1_reference(as_fractions(A), [Fraction(v) for v in b])
 
     def test_beale(self):
         A, b = as_fractions(BEALE_A), [Fraction(v) for v in BEALE_B]
