@@ -247,6 +247,8 @@ def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
             m, r = (parse_number(int, part, context) for part in parts[1:])
             selections.append(PlaceSelection.index_arithmetic(m, r))
         elif parts[0] == "coin":
+            if len(parts) > 3:
+                raise ContexcertError(f"{context}: expected coin, coin:SEED or coin:SEED:BIAS")
             coin_seed = parse_number(int, parts[1], context) if len(parts) > 1 else seed
             bias = parse_number(float, parts[2], context) if len(parts) > 2 else 0.5
             selections.append(PlaceSelection.external_coin(coin_seed, bias))

@@ -73,12 +73,17 @@ def read_scenario_json(path: str | Path) -> Scenario:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid scenario JSON: {exc}") from None
-    try:
-        observables = tuple(
-            Observable(entry["id"], tuple(entry.get("alphabet", DICHOTOMIC)))
-            for entry in data["observables"]
-        )
-        compatible = tuple(frozenset(s) for s in data.get("compatible", []))
+    where = "scenario JSON:"
+    try:  # {field: default, **data} gives an absent optional field its default
+        observables = []
+        for entry in _json_field(data, "observables", list, "a list of observables", where):
+            alphabet = _json_field({"alphabet": list(DICHOTOMIC), **entry}, "alphabet", list, "a list of outcomes", where)
+            observables.append(Observable(entry["id"], tuple(alphabet)))
+        sets = _json_field({"compatible": [], **data}, "compatible", list, "a list of compatible sets", where)
+        compatible = [
+            frozenset(_json_field(sets, i, list, "a list of observable ids", "scenario JSON: compatible set"))
+            for i in range(len(sets))
+        ]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"scenario JSON missing field: {exc}") from None
     return Scenario(observables=observables, compatible_sets=compatible)
@@ -220,12 +225,12 @@ def read_label_stream(path: str | Path) -> LabelSequence:
     return LabelSequence.from_codes(tuple(labels), codes)
 
 
-def _json_field(data: dict, field: str, kind: type, what: str) -> Any:
+def _json_field(data: Any, field: Any, kind: type, what: str, where: str = "constraint JSON:") -> Any:
     """``data[field]`` if it is a ``kind``, else a :class:`ParseError` naming the
-    field: ``tuple`` would split a string into one-letter ids."""
+    field after ``where``: ``tuple`` would split a string into one-letter ids."""
     value = data[field]
     if not isinstance(value, kind):
-        raise ParseError(f"constraint JSON: {field!r} must be {what}, not {value!r}")
+        raise ParseError(f"{where} {field!r} must be {what}, not {value!r}")
     return value
 
 

@@ -253,21 +253,15 @@ def jpd_feasible(
         return FeasibilityResult("feasible", witness, None, slack=0.0)
 
     if exact:
-        # The functional's value and its maximum over atoms, on integer
-        # numerators of y and of b, whose numerators over denominator are
-        # the weights of every cell but each table's last.
+        # The functional's value y.b is the phase-1 objective (LP duality);
+        # its maximum over atoms is taken on integer numerators of y.
         y_denominator = lcm(*(yr.denominator for yr in y))
         numerators = [yr.numerator * (y_denominator // yr.denominator) for yr in y]
         bound = Fraction(
             max(sum(yr * a for yr, a in zip(numerators, col)) for col in zip(*A_int)),
             y_denominator,
         )
-        b_numerators = [denominator] + [
-            w for lo, hi in zip(bounds, bounds[1:]) for w in weights[lo : hi - 1]
-        ]
-        value = Fraction(
-            sum(yr * br for yr, br in zip(numerators, b_numerators)), y_denominator * denominator
-        )
+        value = objective
     else:
         bound = float((y @ A).max())
         value = float(y @ b)

@@ -474,36 +474,38 @@ def pair_key(a: str, b: str) -> frozenset:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """Pairwise +-1 correlations plus per-observable means.
+    """Pairwise +-1 correlations, sample sizes and means, keyed by the measured pair.
 
-    ``means`` keeps the first marginal encountered per observable;
-    ``mean_candidates`` keeps every (pair table, mean) candidate, so that
-    :meth:`max_abs_mean` checks the zero-mean precondition in every context
-    an observable was measured in, not only the first.  The signaling test
-    does not read them; it estimates its own marginals from the dataset.
+    ``means[pair]`` holds the mean of each of the pair's two observables in
+    that context, so :meth:`max_abs_mean` checks the zero-mean precondition in
+    every context an observable was measured in.  The signaling test does not
+    read them; it estimates its own marginals from the dataset.
     """
 
     entries: Mapping[frozenset, float]
-    means: Mapping[str, float] = field(default_factory=dict)
+    means: Mapping[frozenset, Mapping[str, float]] = field(default_factory=dict)
     sample_sizes: Mapping[frozenset, int] = field(default_factory=dict)
-    mean_candidates: Mapping[str, tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         entries = {frozenset(k): v for k, v in dict(self.entries).items()}
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "means", dict(self.means))
+        means = {frozenset(k): dict(v) for k, v in dict(self.means).items()}
+        object.__setattr__(self, "means", means)
         object.__setattr__(self, "sample_sizes", {frozenset(k): int(v) for k, v in dict(self.sample_sizes).items()})
-        object.__setattr__(self, "mean_candidates", {k: tuple(v) for k, v in dict(self.mean_candidates).items()})
         # written as "not <=" so that NaN, which compares false, is refused too
         for key, value in entries.items():
             if len(key) != 2:
                 raise ContexcertError(f"correlation key {set(key)} must contain two observables")
             if not abs(value) <= 1 + 1e-12:
                 raise ContexcertError(f"correlation {value!r} outside [-1, 1]")
-        candidates = [(obs, m) for obs, found in self.mean_candidates.items() for _, m in found]
-        for obs, m in [*self.means.items(), *candidates]:
-            if not abs(m) <= 1 + 1e-12:
-                raise ContexcertError(f"mean {m!r} of {obs} outside [-1, 1]")
+        for key, found in means.items():
+            if len(key) != 2:
+                raise ContexcertError(f"mean key {set(key)} must contain two observables")
+            for obs, m in found.items():
+                if obs not in key:
+                    raise ContexcertError(f"mean of {obs} recorded for pair {sorted(key)}")
+                if not abs(m) <= 1 + 1e-12:
+                    raise ContexcertError(f"mean {m!r} of {obs} outside [-1, 1]")
 
     def value(self, a: str, b: str) -> float:
         try:
@@ -518,41 +520,24 @@ class CorrelationSet:
         return self.sample_sizes.get(pair_key(a, b))
 
     def max_abs_mean(self, ids: Iterable[str]) -> float:
-        """Largest |mean| of ``ids`` over every context each was measured in.
-
-        Observables without recorded candidates fall back to ``means``.
-        """
-        worst = 0.0
-        for obs in ids:
-            candidates = [m for _, m in self.mean_candidates.get(obs, ())]
-            for m in candidates or [self.means.get(obs, 0.0)]:
-                worst = max(worst, abs(m))
-        return worst
+        """Largest |mean| of ``ids`` over every context each was measured in, 0.0 if none."""
+        ids = set(ids)
+        found = (abs(m) for means in self.means.values() for obs, m in means.items() if obs in ids)
+        return max(found, default=0.0)
 
 
 def correlation_set(dataset: Dataset, pairs: Sequence[tuple[str, str]]) -> CorrelationSet:
     """Estimate every requested pair correlation from the dataset.
 
-    Means come from single-observable marginals of the pair tables; the first
-    table encountered per observable wins, and all candidates are retained for
-    the signaling check.
+    Each pair's means are the single-observable marginals of its own table.
     """
     entries: dict[frozenset, float] = {}
-    means: dict[str, float] = {}
+    means: dict[frozenset, dict[str, float]] = {}
     sample_sizes: dict[frozenset, int] = {}
-    candidates: dict[str, list] = {}
     for a, b in pairs:
         key = pair_key(a, b)
         table = estimate_table(dataset, (a, b))
         entries[key] = correlation(table)
         sample_sizes[key] = table.sample_size or 0
-        for obs in table.support:
-            m = table.mean(obs)
-            candidates.setdefault(obs, []).append((key, m))
-            means.setdefault(obs, m)
-    return CorrelationSet(
-        entries=entries,
-        means=means,
-        sample_sizes=sample_sizes,
-        mean_candidates={k: tuple(v) for k, v in candidates.items()},
-    )
+        means[key] = {obs: table.mean(obs) for obs in table.support}
+    return CorrelationSet(entries=entries, means=means, sample_sizes=sample_sizes)

@@ -52,14 +52,12 @@ def chsh_input(c11, c12, c21, c22, ns=None):
 
 
 def triple_input(c12, c23, c13, means=(0.0, 0.0, 0.0), tol=0.01):
+    mean = dict(zip(("X1", "X2", "X3"), means))
+    pairs = (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))
     return TripleInput(
         CorrelationSet(
-            entries={
-                frozenset(("X1", "X2")): c12,
-                frozenset(("X2", "X3")): c23,
-                frozenset(("X1", "X3")): c13,
-            },
-            means=dict(zip(("X1", "X2", "X3"), means)),
+            entries=dict(zip(map(frozenset, pairs), (c12, c23, c13))),
+            means={frozenset(p): {obs: mean[obs] for obs in p} for p in pairs},
         ),
         ("X1", "X2", "X3"),
         zero_mean_tolerance=tol,
@@ -240,7 +238,8 @@ class TestSzTest:
         }
         ds = Dataset(scenario, [OutcomeRecord(s, r) for s, rs in rows.items() for r in rs])
         corr = correlation_set(ds, list(rows))
-        assert corr.means["X1"] == 0.0
+        assert corr.means[frozenset(("X1", "X2"))]["X1"] == 0.0
+        assert corr.means[frozenset(("X1", "X3"))]["X1"] == 0.5
         triple = TripleInput(corr, ids, zero_mean_tolerance=0.05)
         with pytest.raises(ZeroMeanViolated):
             sz_test(triple, 0.0)

@@ -716,6 +716,34 @@ def test_oracle_refuses_a_field_of_the_wrong_type(variables, table, message, tmp
     assert (code, out, err) == (1, "", f"contexcert: error: constraint JSON: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        # a string alphabet used to be split into the outcomes 'a' and 'b'
+        ({"observables": [{"id": "A", "alphabet": "ab"}]}, "'alphabet' must be a list of outcomes, not 'ab'"),
+        # a number used to be reported as "missing field: 'int' object is not iterable"
+        ({"observables": [{"id": "A", "alphabet": 5}]}, "'alphabet' must be a list of outcomes, not 5"),
+        ({"observables": "AB"}, "'observables' must be a list of observables, not 'AB'"),
+        ({"observables": [{"id": "A"}, {"id": "B"}], "compatible": "AB"},
+         "'compatible' must be a list of compatible sets, not 'AB'"),
+        # a string set used to become {A, B} for one-letter ids, and an
+        # UnknownObservable for longer ones
+        ({"observables": [{"id": "A"}, {"id": "B"}], "compatible": ["AB"]},
+         "compatible set 0 must be a list of observable ids, not 'AB'"),
+        ({"observables": [{"id": "A1"}, {"id": "B1"}], "compatible": [["A1", "B1"], "A1B1"]},
+         "compatible set 1 must be a list of observable ids, not 'A1B1'"),
+    ],
+    ids=["alphabet a string", "alphabet a number", "observables a string", "compatible a string",
+         "one-letter set a string", "set a string"],
+)
+def test_scenario_refuses_a_field_of_the_wrong_type(scenario, message, tmp_path, capsys):
+    (tmp_path / "s.json").write_text(json.dumps(scenario))
+    code, out, err = run_cli(
+        capsys, "full-suite", "--data", str(tmp_path / "absent.csv"), "--scenario", str(tmp_path / "s.json"), "--seed", "1"
+    )
+    assert (code, out, err) == (1, "", f"contexcert: error: scenario JSON: {message}\n")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -742,6 +770,10 @@ BAD_OPTION_MISSING_DATA = {
     "randomness selections": (
         ["randomness", "--seed", "1", "--setting", "A1+B1", "--observable", "A1", "--selections", "mod:2"],
         "selection token 'mod:2': expected mod:M:R",
+    ),
+    "randomness coin selection": (
+        ["randomness", "--seed", "1", "--setting", "A1+B1", "--observable", "A1", "--selections", "coin:1:0.5:junk"],
+        "selection token 'coin:1:0.5:junk': expected coin, coin:SEED or coin:SEED:BIAS",
     ),
 }
 

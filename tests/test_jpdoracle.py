@@ -43,15 +43,13 @@ def chsh_input(c11, c12, c21, c22):
     )
 
 
-def triple_input(c12, c23, c13, tol=1e-9):
+def triple_input(c12, c23, c13, means=(0.0, 0.0, 0.0), tol=1e-9):
+    mean = dict(zip(("X1", "X2", "X3"), means))
+    pairs = (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))
     return TripleInput(
         CorrelationSet(
-            entries={
-                frozenset(("X1", "X2")): c12,
-                frozenset(("X2", "X3")): c23,
-                frozenset(("X1", "X3")): c13,
-            },
-            means={"X1": 0.0, "X2": 0.0, "X3": 0.0},
+            entries=dict(zip(map(frozenset, pairs), (c12, c23, c13))),
+            means={frozenset(p): {obs: mean[obs] for obs in p} for p in pairs},
         ),
         ("X1", "X2", "X3"),
         zero_mean_tolerance=tol,
@@ -259,30 +257,12 @@ class TestTripleJpd:
         assert math.isclose(float(res.witness.prob((-1, -1, -1))), 0.5, abs_tol=1e-9)
 
     def test_zero_mean_precondition(self):
-        bad = TripleInput(
-            CorrelationSet(
-                entries={
-                    frozenset(("X1", "X2")): 0.0,
-                    frozenset(("X2", "X3")): 0.0,
-                    frozenset(("X1", "X3")): 0.0,
-                },
-                means={"X1": 0.4, "X2": 0.0, "X3": 0.0},
-            ),
-            ("X1", "X2", "X3"),
-            zero_mean_tolerance=0.01,
-        )
+        bad = triple_input(0.0, 0.0, 0.0, means=(0.4, 0.0, 0.0), tol=0.01)
         with pytest.raises(ZeroMeanViolated):
             triple_jpd_feasible(bad)
 
     def test_zero_mean_gate_shared_with_sz_test(self):
-        biased = TripleInput(
-            CorrelationSet(
-                entries={frozenset(p): 0.1 for p in (("X1", "X2"), ("X2", "X3"), ("X1", "X3"))},
-                means={"X1": 0.0, "X2": -0.3, "X3": 0.0},
-            ),
-            ("X1", "X2", "X3"),
-            zero_mean_tolerance=0.05,
-        )
+        biased = triple_input(0.1, 0.1, 0.1, means=(0.0, -0.3, 0.0), tol=0.05)
         with pytest.raises(ZeroMeanViolated) as from_sz:
             sz_test(biased)
         with pytest.raises(ZeroMeanViolated) as from_oracle:

@@ -34,6 +34,7 @@ from contexcert.scenario import (
     encode_rows,
     estimate_table,
     marginalize,
+    pair_key,
 )
 
 
@@ -284,7 +285,7 @@ class TestCorrelationSet:
         ds = Dataset(s, records(("A", "B"), [(1, 1), (-1, -1)]))
         cs = correlation_set(ds, [("A", "B")])
         assert cs.value("A", "B") == 1.0
-        assert cs.means["A"] == 0.0
+        assert cs.means == {frozenset(("A", "B")): {"A": 0.0, "B": 0.0}}
         assert cs.sample_size("A", "B") == 2
 
     def test_empty(self):
@@ -298,7 +299,7 @@ class TestCorrelationSet:
         cs = correlation_set(ds, [("A", "B")])
         assert abs(cs.value("A", "B") - 1.0) < 0.02
 
-    def test_mean_candidates_recorded(self):
+    def test_one_mean_per_context(self):
         s = two_obs_scenario()
         ds = Dataset(
             s,
@@ -306,8 +307,9 @@ class TestCorrelationSet:
             + records(("A", "C"), [(-1, 1), (-1, -1)]),
         )
         cs = correlation_set(ds, [("A", "B"), ("A", "C")])
-        assert len(cs.mean_candidates["A"]) == 2
-        assert cs.means["A"] == 1.0  # first table encountered wins
+        assert cs.means[frozenset(("A", "B"))]["A"] == 1.0
+        assert cs.means[frozenset(("A", "C"))]["A"] == -1.0
+        assert cs.max_abs_mean(["A"]) == 1.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5])
     def test_non_finite_or_out_of_range_refused(self, value):
@@ -317,11 +319,48 @@ class TestCorrelationSet:
         with pytest.raises(ContexcertError, match="outside"):
             CorrelationSet(entries={key: value})
         with pytest.raises(ContexcertError, match="outside"):
-            CorrelationSet(entries={key: 0.0}, means={"A": value})
+            CorrelationSet(entries={key: 0.0}, means={key: {"A": value}})
         with pytest.raises(ContexcertError, match="outside"):
             CorrelationSet(
-                entries={key: 0.0}, means={"A": 0.0}, mean_candidates={"A": ((key, value),)}
+                entries={key: 0.0},
+                means={key: {"A": 0.0, "B": 0.0}, frozenset(("A", "C")): {"A": value}},
             )
+
+    @pytest.mark.parametrize(
+        "means, message",
+        [
+            ({frozenset(("A",)): {"A": 0.0}}, "must contain two observables"),
+            ({frozenset(("A", "B", "C")): {"A": 0.0}}, "must contain two observables"),
+            ({frozenset(("A", "B")): {"C": 0.0}}, r"mean of C recorded for pair \['A', 'B'\]"),
+        ],
+    )
+    def test_mean_key_must_be_its_pair(self, means, message):
+        with pytest.raises(ContexcertError, match=message):
+            CorrelationSet(entries={}, means=means)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_means_are_each_pair_tables_means(self, data):
+        ids = [f"X{i}" for i in range(data.draw(st.integers(2, 4)))]
+        every_pair = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+        pairs = data.draw(st.lists(st.sampled_from(every_pair), min_size=1, unique=True))
+        pairs = [tuple(data.draw(st.permutations(p))) for p in pairs]
+        scenario = Scenario(tuple(map(Observable, ids)), tuple(map(frozenset, pairs)))
+        cell_counts = st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any)
+        rows = [
+            (pair, cell)
+            for pair in pairs
+            for cell, n in zip(product((1, -1), repeat=2), data.draw(cell_counts))
+            for _ in range(n)
+        ]
+        ds = Dataset.from_rows(scenario, rows)
+        cs = correlation_set(ds, pairs)
+        for a, b in pairs:
+            table = estimate_table(ds, (a, b))
+            assert cs.means[pair_key(a, b)] == {a: table.mean(a), b: table.mean(b)}
+        asked = data.draw(st.sets(st.sampled_from(ids)))
+        found = [abs(estimate_table(ds, p).mean(obs)) for p in pairs for obs in p if obs in asked]
+        assert cs.max_abs_mean(asked) == max(found, default=0.0)
 
 
 class TestTableInvariants:
