@@ -10,6 +10,7 @@ verdicts are data and always exit 0.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -32,22 +33,46 @@ from .dataio import (
     write_scenario_json,
 )
 from .errors import ContexcertError
-from .jpdoracle import jpd_feasible
-from .quantumgen import (
-    DensityState,
-    ProjectiveObservable,
-    planar_observable,
-    sample_lhv_dataset,
-    sample_quantum_dataset,
-    singlet_state,
-    sphere_lhv_model,
-)
-from .randomtests import PlaceSelection, randomness_test, require_min_retained, require_seed
-from .suite import RunConfig, extract_streams, run_full_suite, run_inequality_test, stream_key
-from .tolerances import parse_number, parse_policy
+from .tolerances import RunConfig, parse_number, parse_policy, require_min_retained, require_seed
 
 SEED_ENV = "CONTEXCERT_SEED"
 DEFAULTS = RunConfig()  # the defaults of every option that sets a RunConfig field
+
+# The names this module takes from the modules only some subcommands run.
+# Each is bound here when it is first used, so that a process loads only the
+# modules its subcommand runs, and each is still looked up here at call time,
+# so that a tracer or a test may replace it here.
+_LAZY = {
+    "jpdoracle": ("jpd_feasible",),
+    "quantumgen": (
+        "DensityState",
+        "ProjectiveObservable",
+        "planar_observable",
+        "sample_lhv_dataset",
+        "sample_quantum_dataset",
+        "singlet_state",
+        "sphere_lhv_model",
+    ),
+    "randomtests": ("PlaceSelection", "randomness_test"),
+    "suite": ("extract_streams", "run_full_suite", "run_inequality_test", "stream_key"),
+}
+
+
+def _load(module: str) -> None:
+    """Import ``module`` and bind its names of ``_LAZY`` here, keeping a name
+    already bound, which may be a replacement set from outside."""
+    loaded = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """A ``_LAZY`` name read from outside before any subcommand bound it."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -102,6 +127,7 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
 
 
 def cmd_generate_singlet(args) -> None:
+    _load("quantumgen")
     seed = _resolve_seed(args.seed)
     a1, a2, b1, b2 = _parse_angles(args.angles)
     state = singlet_state()
@@ -138,6 +164,7 @@ def _parse_axes(text: str) -> dict[str, tuple[float, float, float]]:
 
 
 def cmd_generate_lhv(args) -> None:
+    _load("quantumgen")
     seed = _resolve_seed(args.seed)
     if args.model != "sphere":
         raise ContexcertError(f"unknown LHV model {args.model!r}")
@@ -175,6 +202,7 @@ def _load_observable(entry: dict, dim: int) -> ProjectiveObservable:
 
 
 def cmd_generate_state_file(args) -> None:
+    _load("quantumgen")
     seed = _resolve_seed(args.seed)
     state_data = json.loads(Path(args.state).read_text())
     try:
@@ -216,6 +244,7 @@ def _run_config(args, **fields) -> RunConfig:
 
 
 def cmd_test(args) -> None:
+    _load("suite")
     config = _run_config(args)
     dataset = ingest(args.data, args.scenario)
     which = "suppes-zanotti" if args.which == "sz" else args.which
@@ -224,12 +253,14 @@ def cmd_test(args) -> None:
 
 
 def cmd_oracle(args) -> None:
+    _load("jpdoracle")
     system = read_constraint_system(args.constraints, exact=args.exact)
     result = jpd_feasible(system, feasibility_tol=args.tolerance, exact=args.exact)
     _emit(result.to_json(), args, args.out)
 
 
 def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
+    _load("randomtests")
     selections = []
     for token in text.split(","):
         token = token.strip()
@@ -258,6 +289,7 @@ def _parse_selections(text: str, seed: int) -> list[PlaceSelection]:
 
 
 def cmd_randomness(args) -> None:
+    _load("randomtests")
     seed = _resolve_seed(args.seed)
     selections = _parse_selections(args.selections, seed)
     policy = parse_policy(args.policy)
@@ -265,6 +297,7 @@ def cmd_randomness(args) -> None:
     if args.stream:
         seq = read_label_stream(args.stream)
     elif args.data and args.scenario and args.setting and args.observable:
+        _load("suite")
         dataset = ingest(args.data, args.scenario)
         canonical = dataset.scenario.canonical_setting(args.setting.split("+"))
         key = stream_key(args.observable, canonical)
@@ -281,6 +314,7 @@ def cmd_randomness(args) -> None:
 
 
 def cmd_full_suite(args) -> None:
+    _load("suite")
     seed = _resolve_seed(args.seed)
     policy = parse_policy(args.randomness_policy)
     config = _run_config(args, randomness_policy=policy, seed=seed, min_retained=args.min_retained)

@@ -13,13 +13,11 @@ import json
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from .errors import ContexcertError
-from .jpdoracle import MarginalConstraintSystem
-from .randomtests import LabelSequence
 from .scenario import (
     DICHOTOMIC,
     Dataset,
@@ -31,6 +29,10 @@ from .scenario import (
 CSV_HEADER = "setting;outcomes"
 PIECE_CHARS = 1 << 16  # characters read at a time; far larger pieces raise the peak memory
 WRITE_LINES = 1 << 14  # lines joined into one write
+
+if TYPE_CHECKING:  # imported where used, so reading a dataset loads neither the oracle nor the battery
+    from .jpdoracle import MarginalConstraintSystem
+    from .randomtests import LabelSequence
 
 
 class ParseError(ContexcertError):
@@ -76,7 +78,9 @@ def read_scenario_json(path: str | Path) -> Scenario:
     where = "scenario JSON:"
     try:  # {field: default, **data} gives an absent optional field its default
         observables = []
-        for entry in _json_field(data, "observables", list, "a list of observables", where):
+        entries = _json_field(data, "observables", list, "a list of observables", where)
+        for i in range(len(entries)):
+            entry = _json_field(entries, i, dict, "an object", "scenario JSON: 'observables' entry")
             alphabet = _json_field({"alphabet": list(DICHOTOMIC), **entry}, "alphabet", list, "a list of outcomes", where)
             observables.append(Observable(entry["id"], tuple(alphabet)))
         sets = _json_field({"compatible": [], **data}, "compatible", list, "a list of compatible sets", where)
@@ -209,6 +213,8 @@ def read_label_stream(path: str | Path) -> LabelSequence:
     Each distinct line is parsed once, and each line becomes its symbol's code,
     the labels being the symbols in order of first appearance; blank lines are
     skipped.  So the stream is held as codes, never as a list of symbols."""
+    from .randomtests import LabelSequence
+
     code: dict[str, int] = {}  # distinct line -> its symbol's code, -1 if blank
     labels: dict[Any, int] = {}  # symbol -> code
     pieces = []  # the codes of each piece's lines
@@ -259,6 +265,8 @@ def read_constraint_system(path: str | Path, exact: bool = False) -> MarginalCon
 
     With ``exact`` every JSON number with a fraction or exponent is read as the
     Fraction of its decimal literal, which a double would round past 17 digits."""
+    from .jpdoracle import MarginalConstraintSystem
+
     try:
         data = json.loads(Path(path).read_text(), parse_float=Fraction if exact else float)
     except json.JSONDecodeError as exc:

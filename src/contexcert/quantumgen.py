@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContexcertError
-from .scenario import DICHOTOMIC, Dataset, Observable, ProbTable, Scenario, code_dtype, encode_rows, setting_cells
+from .scenario import DICHOTOMIC, PRNG_NAME, Dataset, Observable, ProbTable, Scenario, code_dtype, encode_rows, setting_cells
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
@@ -30,7 +30,6 @@ PROJECTOR_TOL = 1e-10
 COMMUTATOR_TOL = 1e-10
 DRAW_PIECE = 1 << 16  # doubles drawn at a time, so a setting never holds one per record
 
-PRNG_NAME = "numpy-PCG64"
 SUBSEED_SCHEME = "SeedSequence(entropy=seed, spawn_key=(setting_index,))"
 
 

@@ -27,7 +27,6 @@ pass per label, whatever the masks' density or the number of labels.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -37,7 +36,14 @@ import numpy as np
 
 from .errors import ContexcertError
 from .scenario import alphabet_codes
-from .tolerances import StatisticalTolerance, TolerancePolicy, resolve_tolerance
+from .tolerances import (
+    StatisticalTolerance,
+    TolerancePolicy,
+    is_integer,
+    require_min_retained,
+    require_seed,
+    resolve_tolerance,
+)
 
 
 GRID_BINS = 1 << 17  # a shared count's grid of labels by bit patterns stays at 1 MB
@@ -201,11 +207,6 @@ class Prefix(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-
-def is_integer(value) -> bool:
-    """An integer that is not a ``bool``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _prime_mask(n: int) -> np.ndarray:
@@ -375,23 +376,6 @@ class RandomnessReport:
             "min_retained": self.min_retained,
             "notes": list(self.notes),
         }
-
-
-def require_seed(seed) -> None:
-    """Refuse a seed that is not an integer of at least 0, which numpy's
-    ``SeedSequence`` would refuse only when a generator is made from it."""
-    if not is_integer(seed):
-        raise ContexcertError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ContexcertError(f"seed must be non-negative, got {seed!r}")
-
-
-def require_min_retained(min_retained) -> None:
-    """Refuse a ``min_retained`` that is not an integer of at least 30."""
-    if not is_integer(min_retained):
-        raise ContexcertError(f"min_retained must be an integer, got {min_retained!r}")
-    if min_retained < 30:
-        raise ContexcertError("min_retained must be at least 30")
 
 
 def randomness_test(

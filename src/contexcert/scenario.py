@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ContexcertError
 
 DICHOTOMIC = (1, -1)
+PRNG_NAME = "numpy-PCG64"  # the generator behind every sampled dataset, named in reports
 
 NORMALIZATION_TOL = 1e-12
 COUNT_CELLS = 1 << 16  # cell numbers counted at a time
@@ -97,8 +98,8 @@ class Scenario:
         for s in sets:
             unknown = s - known
             if unknown:
-                raise UnknownObservable(
-                    f"compatible set {sorted(s)} refers to undeclared ids {sorted(unknown)}"
+                raise UnknownObservable(  # sorted by str: an id read from JSON may be any value
+                    f"compatible set {sorted(s, key=str)} refers to undeclared ids {sorted(unknown, key=str)}"
                 )
 
     @cached_property

@@ -42,47 +42,19 @@ from .errors import ContexcertError
 from .jpdoracle import (
     FEASIBILITY_TOL, FeasibilityResult, MarginalConstraintSystem, jpd_feasible, zero_mean_system
 )
-from .quantumgen import PRNG_NAME
 from .randomtests import (
     LabelSequence,
     PlaceSelection,
     randomness_test,
-    require_min_retained,
-    require_seed,
     stabilization_profile,
 )
-from .scenario import Dataset, NonDichotomous, code_dtype, correlation_set
+from .scenario import PRNG_NAME, Dataset, NonDichotomous, code_dtype, correlation_set
 from .signaling import NoSharedObservables, no_signaling_test
-from .tolerances import StatisticalTolerance, TolerancePolicy, require_nonnegative, resolve_tolerance
+from .tolerances import RunConfig, resolve_tolerance
 
 
 class MissingSettings(ContexcertError):
     """A requested test needs pairs the dataset does not contain."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce one suite run byte for byte; its defaults are the CLI's."""
-
-    tolerance_policy: TolerancePolicy = StatisticalTolerance(3.0)
-    randomness_policy: TolerancePolicy = StatisticalTolerance(4.0)
-    seed: int = 0
-    delta: float = 0.01
-    zero_mean_tolerance: float = 0.05
-    min_retained: int = 30
-
-    def __post_init__(self) -> None:
-        require_nonnegative(self.delta, "delta")
-        require_nonnegative(self.zero_mean_tolerance, "zero_mean_tolerance")
-        require_min_retained(self.min_retained)
-        require_seed(self.seed)
-        for name in ("seed", "min_retained"):  # a numpy integer would not reach JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
-
-    def to_json(self) -> dict:
-        """Every field, so a report names each setting its verdicts depend on."""
-        policies = ("tolerance_policy", "randomness_policy")
-        return {**vars(self), **{name: getattr(self, name).describe() for name in policies}}
 
 
 @dataclass(frozen=True)

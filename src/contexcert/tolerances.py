@@ -6,11 +6,16 @@ Two policies exist everywhere a verdict depends on finite-sample noise:
 * ``StatisticalTolerance(k)`` scales a binomial standard error by ``k``
   (the usual k-sigma significance rule); the error itself is computed by
   the consuming module from its own sample sizes.
+
+``RunConfig`` holds the policies and every other setting of a suite run,
+with the validators of its fields, so that the CLI reads its defaults
+without loading the suite.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ContexcertError
@@ -61,6 +66,53 @@ def require_nonnegative(value: float, name: str) -> None:
     :class:`ContexcertError` that names it after ``name``."""
     if not (math.isfinite(value) and value >= 0):
         raise ContexcertError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_seed(seed) -> None:
+    """Refuse a seed that is not an integer of at least 0, which numpy's
+    ``SeedSequence`` would refuse only when a generator is made from it."""
+    if not is_integer(seed):
+        raise ContexcertError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ContexcertError(f"seed must be non-negative, got {seed!r}")
+
+
+def require_min_retained(min_retained) -> None:
+    """Refuse a ``min_retained`` that is not an integer of at least 30."""
+    if not is_integer(min_retained):
+        raise ContexcertError(f"min_retained must be an integer, got {min_retained!r}")
+    if min_retained < 30:
+        raise ContexcertError("min_retained must be at least 30")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything needed to reproduce one suite run byte for byte; its defaults are the CLI's."""
+
+    tolerance_policy: TolerancePolicy = StatisticalTolerance(3.0)
+    randomness_policy: TolerancePolicy = StatisticalTolerance(4.0)
+    seed: int = 0
+    delta: float = 0.01
+    zero_mean_tolerance: float = 0.05
+    min_retained: int = 30
+
+    def __post_init__(self) -> None:
+        require_nonnegative(self.delta, "delta")
+        require_nonnegative(self.zero_mean_tolerance, "zero_mean_tolerance")
+        require_min_retained(self.min_retained)
+        require_seed(self.seed)
+        for name in ("seed", "min_retained"):  # a numpy integer would not reach JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
+
+    def to_json(self) -> dict:
+        """Every field, so a report names each setting its verdicts depend on."""
+        policies = ("tolerance_policy", "randomness_policy")
+        return {**vars(self), **{name: getattr(self, name).describe() for name in policies}}
 
 
 def parse_policy(text: str) -> TolerancePolicy:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from contexcert.cli import main
 from contexcert.dataio import (
     ParseError,
     ValidationError,
@@ -41,6 +42,25 @@ class TestScenarioJson:
         path.write_text("{nope")
         with pytest.raises(ParseError):
             read_scenario_json(path)
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            # a number among the ids used to end in a TypeError from sorting them
+            ({"observables": [{"id": "A"}], "compatible": [["A", 1]]},
+             "compatible set [1, 'A'] refers to undeclared ids [1]"),
+            # used to read "scenario JSON missing field: 'str' object is not a mapping"
+            ({"observables": ["A", "B"], "compatible": [["A", "B"]]},
+             "scenario JSON: 'observables' entry 0 must be an object, not 'A'"),
+        ],
+        ids=["number among the ids", "observable a string"],
+    )
+    def test_full_suite_names_the_fault(self, scenario, message, tmp_path, capsys):
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        argv = ["full-suite", "--data", str(tmp_path / "absent.csv"), "--scenario", str(tmp_path / "s.json"), "--seed", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"contexcert: error: {message}\n")
 
 
 class TestDatasetCsv:
