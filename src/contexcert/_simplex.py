@@ -69,24 +69,33 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
         raise ContexcertError("b length does not match A rows")
 
     flip = b < 0
-    if flip.any():
+    flipped = flip.any()
+    if flipped:
         A = A.copy()
         A[flip] *= -1.0
         b[flip] *= -1.0
 
     # Tableau layout: [A | I | b] with the reduced-cost row appended.
-    T = np.zeros((m + 1, n + m + 1))
+    width = n + m + 1
+    T = np.zeros((m + 1, width))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    T.ravel()[n : m * width : width + 1] = 1.0  # the identity block's diagonal
     T[:m, -1] = b
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
 
+    # Views and buffers made once, so that a pivot allocates nothing; each
+    # numpy call a pivot makes costs about as much as its arithmetic.
     cost = T[m, :n]
     rhs = T[:m, -1]
+    columns = T.T  # columns[j] is T[:, j]
+    row_columns = T[:m].T  # row_columns[j] is T[:m, j]
+    tol = np.array(PIVOT_TOL)  # a 0-d array: a ufunc takes it without converting a float
     ratios = np.empty(m)
+    eligible = np.empty(m, dtype=bool)
     column = np.empty(m + 1)
+    column_2d = column[:, None]  # broadcasts against a row to the outer product
     update = np.empty_like(T)
     bland = False
     degenerate_streak = 0
@@ -102,8 +111,8 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
             if cost[enter] >= -PIVOT_TOL:
                 break
 
-        col = T[:m, enter]
-        eligible = col > PIVOT_TOL
+        col = row_columns[enter]
+        np.greater(col, tol, out=eligible)
         # ineligible rows read inf, so the first minimum is an eligible row
         # whenever one exists (a finite ratio needs rhs below ~1e297)
         ratios.fill(np.inf)
@@ -126,11 +135,11 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
             degenerate_streak = 0
 
         pivot_row = T[leave]
-        pivot_row /= pivot_row[enter]
-        np.copyto(column, T[:, enter])
+        np.divide(pivot_row, pivot_row[enter], out=pivot_row)
+        np.copyto(column, columns[enter])
         column[leave] = 0.0
-        np.multiply.outer(column, pivot_row, out=update)
-        T -= update
+        np.multiply(column_2d, pivot_row, out=update)
+        np.subtract(T, update, out=T)
         basis[leave] = enter
     else:
         raise SimplexFailure("phase-1 simplex iteration limit exceeded")
@@ -139,10 +148,10 @@ def phase1_dense(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
     x = np.zeros(n + m)
     x[basis] = T[:m, -1]
     x = x[:n]
-    np.clip(x, 0.0, None, out=x)
+    np.maximum(x, 0.0, out=x)  # what np.clip(x, 0.0, None) calls
 
     y = 1.0 - T[m, n : n + m]
-    if flip.any():
+    if flipped:
         y = y.copy()
         y[flip] *= -1.0
     return float(objective), x, y

@@ -242,9 +242,16 @@ def _json_field(data: Any, field: Any, kind: type, what: str, where: str = "cons
 
 def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
     support = tuple(_json_field(data, "support", list, "a list of variable ids"))
+    # {field: default, **data} gives an absent optional field its default
+    default = [list(DICHOTOMIC)] * len(support)
+    alphabets = _json_field({"alphabets": default, **data}, "alphabets", list, "a list of outcome lists")
     alphabets = tuple(
-        tuple(a) for a in data.get("alphabets", [list(DICHOTOMIC)] * len(support))
+        tuple(_json_field(alphabets, i, list, "a list of outcomes", "constraint JSON: 'alphabets' entry"))
+        for i in range(len(alphabets))
     )
+    sample_size = data.get("sample_size")
+    if sample_size is not None and (type(sample_size) is not int or sample_size < 0):
+        raise ParseError(f"constraint JSON: 'sample_size' must be a count of records, not {sample_size!r}")
     probs = {}
     # Fraction(str(p)) reads a float as its shortest decimal repr (0.1 -> 1/10),
     # and a Fraction or an int as itself
@@ -256,7 +263,7 @@ def probtable_from_json(data: dict, exact: bool = False) -> ProbTable:
         support=support,
         probs=probs,
         alphabets=alphabets,
-        sample_size=data.get("sample_size"),
+        sample_size=sample_size,
     )
 
 
@@ -271,10 +278,14 @@ def read_constraint_system(path: str | Path, exact: bool = False) -> MarginalCon
         data = json.loads(Path(path).read_text(), parse_float=Fraction if exact else float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid constraint JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"constraint JSON: the top level must be an object, not {data!r}")
     try:
         variables = tuple(_json_field(data, "variables", list, "a list of variable ids"))
         constraints = []
-        for entry in data["constraints"]:
+        entries = _json_field(data, "constraints", list, "a list of constraint tables")
+        for i in range(len(entries)):
+            entry = _json_field(entries, i, dict, "an object", "constraint JSON: 'constraints' entry")
             table = probtable_from_json(entry, exact=exact)
             constraints.append((table.support, table))
     except (KeyError, TypeError) as exc:

@@ -21,8 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, compress, product, repeat
 from math import isfinite, lcm
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -55,18 +56,22 @@ class MarginalConstraintSystem:
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
         object.__setattr__(self, "variables", variables)
-        if len(set(variables)) != len(variables):
+        names = set(variables)
+        if len(names) != len(variables):
             raise ContexcertError("duplicate variables in constraint system")
         constraints = tuple((tuple(sup), table) for sup, table in self.constraints)
         object.__setattr__(self, "constraints", constraints)
+        checked = set()  # the alphabets found to be +-1
         for sup, table in constraints:
             if tuple(table.support) != sup:
                 raise ContexcertError(f"constraint support {sup} does not match its table")
-            if not set(sup) <= set(variables):
+            if not names.issuperset(sup):
                 raise ContexcertError(f"constraint support {sup} not within variables")
             for alphabet in table.alphabets:
-                if set(alphabet) != {1, -1}:
-                    raise ContexcertError("oracle accepts only +-1 alphabets")
+                if alphabet not in checked:
+                    if set(alphabet) != {1, -1}:
+                        raise ContexcertError("oracle accepts only +-1 alphabets")
+                    checked.add(alphabet)
 
 
 @dataclass(frozen=True)
@@ -129,13 +134,16 @@ class FeasibilityResult:
 @lru_cache(maxsize=128)
 def _lp_pattern(n: int, supports: tuple[tuple[int, ...], ...]):
     """The fixed parts of the LP: ``A`` (row 0 normalization, then a row per
-    table cell), its rows as ints, each row's (table, cell), the atoms, and the
-    marginal check.  That check keeps one sum per shared set, set cell and
-    table with the set; ``plan`` pairs each sum with each cell, numbered through
-    all tables, that adds into it, and ``shared`` holds each set's (set, start,
-    stop, tables): between start and stop each set cell has ``tables``
-    consecutive sums.  The shared sets are each variable in two or more tables,
-    then each intersection of two supports with two or more variables, sorted."""
+    table cell), its rows as ints, each row's (table, cell), the atoms, each
+    table's cells and their reader (:func:`_cell_reader`), the number of each
+    table's first cell among all tables' cells, the numbers of the cells ``b``
+    takes after its leading 1, and the marginal check.  That check keeps one
+    sum per shared set, set cell and table with the set; ``plan`` pairs each
+    sum with each cell, numbered through all tables, that adds into it, and
+    ``shared`` holds each set's (set, start, stop, tables): between start and
+    stop each set cell has ``tables`` consecutive sums.  The shared sets are
+    each variable in two or more tables, then each intersection of two
+    supports with two or more variables, sorted."""
     codes = np.array(list(product(range(2), repeat=n)))  # atom j is row j
     rows = [np.ones(len(codes))]
     row_cells: list[tuple[int, tuple] | None] = [None]
@@ -167,7 +175,17 @@ def _lp_pattern(n: int, supports: tuple[tuple[int, ...], ...]):
         start = stop
     A_int = tuple(map(tuple, A.astype(np.int64).tolist()))
     atoms = tuple(product(DICHOTOMIC, repeat=n))
-    return A, A_int, tuple(row_cells), atoms, start, tuple(plan), tuple(shared)
+    readers = tuple(_cell_reader(len(sup)) for sup in supports)
+    b_cells = tuple(c for first, stop in zip(first_cell, first_cell[1:]) for c in range(first, stop - 1))
+    return A, A_int, tuple(row_cells), atoms, readers, tuple(first_cell), b_cells, start, tuple(plan), tuple(shared)
+
+
+@lru_cache(maxsize=MAX_VARIABLES)
+def _cell_reader(arity: int) -> tuple[tuple[tuple[int, ...], ...], itemgetter]:
+    """The +-1 cells of a table over ``arity`` variables in cell-number order,
+    and one getter that reads all of them from a table's ``probs``."""
+    cells = tuple(product(DICHOTOMIC, repeat=arity))
+    return cells, itemgetter(*cells)
 
 
 def jpd_feasible(
@@ -191,28 +209,28 @@ def jpd_feasible(
         raise TooManyVariables(f"{n} variables exceed the cap of {MAX_VARIABLES}")
     if n == 0 or not system.constraints:
         raise ContexcertError("constraint system is empty")
-    var_index = {v: i for i, v in enumerate(system.variables)}
-    supports = tuple(tuple(var_index[obs] for obs in sup) for sup, _ in system.constraints)
-    A, A_int, row_cells, atoms, n_sums, plan, shared = _lp_pattern(n, supports)
+    var_index = dict(zip(system.variables, range(n)))
+    supports = tuple(tuple(map(var_index.__getitem__, sup)) for sup, _ in system.constraints)
+    A, A_int, row_cells, atoms, readers, first_cell, b_cells, n_sums, plan, shared = _lp_pattern(n, supports)
 
-    # each table read once, in cell-number order
-    probs = [
-        list(map(table.probs.get, product(DICHOTOMIC, repeat=len(sup)), repeat(0)))
-        for sup, table in system.constraints
-    ]
+    # each table read once, in cell-number order: a table with no implied zero
+    # holds every +-1 cell, so one getter reads them all
+    values = []
+    for (_, table), (cells, read) in zip(system.constraints, readers):
+        probs = table.probs
+        values += read(probs) if len(probs) == len(cells) else map(probs.get, cells, repeat(0))
     if exact:
-        if not all(isinstance(p, (Fraction, int)) for cells in probs for p in cells):
+        if not all(isinstance(p, (Fraction, int)) for p in values):
             raise ContexcertError("exact mode requires Fraction-valued tables")
         # sums and marginals taken as integer numerators over one common
         # denominator, which is exact and avoids a gcd per Fraction addition
-        denominator = lcm(*(p.denominator for cells in probs for p in cells))
-        weights = [p.numerator * (denominator // p.denominator) for cells in probs for p in cells]
-        bounds = list(accumulate(map(len, probs), initial=0))
+        denominator = lcm(*(p.denominator for p in values))
+        weights = [p.numerator * (denominator // p.denominator) for p in values]
         for ci, (sup, _) in enumerate(system.constraints):
             # _lp_pattern drops each table's last cell as implied by
             # normalization, which holds only up to NORMALIZATION_TOL unless
             # the sum is exactly 1
-            total = sum(weights[bounds[ci] : bounds[ci + 1]])
+            total = sum(weights[first_cell[ci] : first_cell[ci + 1]])
             if total != denominator:
                 raise ContexcertError(
                     f"exact mode requires each table to sum to exactly 1; "
@@ -220,7 +238,7 @@ def jpd_feasible(
                 )
         tol = 0
     else:
-        weights = [float(p) for cells in probs for p in cells]
+        weights = list(map(float, values))
         tol = SIGNALING_PRECHECK_TOL
     sums = [0] * n_sums
     for k, i in plan:
@@ -235,7 +253,7 @@ def jpd_feasible(
                     f"beyond {tol:g}; the system is signaling, not merely infeasible"
                 )
 
-    b = [1] + [p for cells in probs for p in cells[:-1]]
+    b = [1, *map(values.__getitem__, b_cells)]
     if exact:
         objective, x, y = _simplex.phase1_exact(A_int, b)
         feasible = objective == 0
@@ -247,9 +265,7 @@ def jpd_feasible(
 
     if feasible:
         # x >= 0 (the float solver clips it), so its nonzero entries are the atoms
-        witness = ProbTable(
-            system.variables, {atom: p for atom, p in zip(atoms, x) if p}, (DICHOTOMIC,) * n
-        )
+        witness = ProbTable(system.variables, dict(compress(zip(atoms, x), x)), (DICHOTOMIC,) * n)
         return FeasibilityResult("feasible", witness, None, slack=0.0)
 
     if exact:
@@ -281,11 +297,18 @@ def pair_table_from_correlation(
     """The unique zero-mean +-1 pair table with the given correlation.
 
     p(a, b) = (1 + a*b*corr) / 4.  With ``exact`` the correlation is taken
-    as an exact rational n/d and the cells stay Fractions (d +- n) / 4d.
+    as an exact rational n/d and the cells stay Fractions (d +- n) / 4d.  A
+    value that is not a number, a boolean included, is refused by name.
     """
-    if not isinstance(corr, (int, Fraction, str)) and not isfinite(corr):
+    try:
+        if isinstance(corr, bool):  # not a correlation, as dataio.json_number refuses it
+            raise TypeError
+        finite = isinstance(corr, (int, Fraction, str)) or isfinite(corr)
+        c = (Fraction(corr) if exact else float(corr)) if finite else None
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ContexcertError(f"cannot read correlation {corr!r} as a number") from None
+    if not finite or c != c:  # c != c for the float of "nan"
         raise ContexcertError(f"non-finite correlation {corr!r}")
-    c = Fraction(corr) if exact else float(corr)
     if abs(c) > 1:
         raise ContexcertError(f"correlation {corr!r} outside [-1, 1]")
     if exact:
@@ -293,7 +316,7 @@ def pair_table_from_correlation(
         same, opposite = Fraction(d + n, 4 * d), Fraction(d - n, 4 * d)
     else:
         same, opposite = 0.25 * (1 + c), 0.25 * (1 - c)
-    probs = {(a, b): same if a == b else opposite for a in DICHOTOMIC for b in DICHOTOMIC}
+    probs = {(1, 1): same, (1, -1): opposite, (-1, 1): opposite, (-1, -1): same}
     return ProbTable(support=tuple(ids), probs=probs, alphabets=(DICHOTOMIC, DICHOTOMIC))
 
 

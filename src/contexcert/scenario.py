@@ -27,6 +27,7 @@ DICHOTOMIC = (1, -1)
 PRNG_NAME = "numpy-PCG64"  # the generator behind every sampled dataset, named in reports
 
 NORMALIZATION_TOL = 1e-12
+_TUPLE_ONLY, _FLOAT_ONLY = {tuple}, {float}  # the key and value types ProbTable checks without a loop
 COUNT_CELLS = 1 << 16  # cell numbers counted at a time
 
 
@@ -328,7 +329,7 @@ class ProbTable:
     def __post_init__(self) -> None:
         support = tuple(self.support)
         object.__setattr__(self, "support", support)
-        alphabets = tuple(tuple(a) for a in self.alphabets)
+        alphabets = tuple(map(tuple, self.alphabets))
         object.__setattr__(self, "alphabets", alphabets)
         if not support:
             raise ContexcertError("table support must be nonempty")
@@ -337,17 +338,30 @@ class ProbTable:
         if len(alphabets) != len(support):
             raise ContexcertError("alphabets must match support positionally")
         cells = _alphabet_product(alphabets)
-        probs = {tuple(k): v for k, v in dict(self.probs).items()}
+        probs = dict(self.probs)
+        if _TUPLE_ONLY != set(map(type, probs)):
+            probs = {tuple(k): v for k, v in probs.items()}
         object.__setattr__(self, "probs", probs)
-        for key, value in probs.items():
-            if key not in cells:
-                raise ContexcertError(f"outcome tuple {key} outside alphabet product")
-            # NaN fails both comparisons; a Fraction is never infinite, and
-            # comparing one with an int or a float is slow
-            if not (value.numerator >= 0 if type(value) is Fraction else 0 <= value < math.inf):
-                kind = "negative" if value < 0 else "non-finite"
-                raise ContexcertError(f"{kind} probability {value!r} at {key}")
-        total = _accurate_sum(probs.values())
+        values = probs.values()
+        # Floats alone are checked at C speed: nonnegative floats sum (fsum
+        # reads inf and nan as such) to a finite total only if each is finite.
+        # Anything else, a fault included, takes the loop, for its message.
+        total = math.nan
+        if _FLOAT_ONLY == set(map(type, values)) and cells.issuperset(probs) and min(values) >= 0:
+            try:
+                total = math.fsum(values)
+            except OverflowError:  # the loop may find a nan or an inf first
+                pass
+        if not total < math.inf:
+            for key, value in probs.items():
+                if key not in cells:
+                    raise ContexcertError(f"outcome tuple {key} outside alphabet product")
+                # NaN fails both comparisons; a Fraction is never infinite, and
+                # comparing one with an int or a float is slow
+                if not (value.numerator >= 0 if type(value) is Fraction else 0 <= value < math.inf):
+                    kind = "negative" if value < 0 else "non-finite"
+                    raise ContexcertError(f"{kind} probability {value!r} at {key}")
+            total = _accurate_sum(values)
         if total != 1 and abs(total - 1) > NORMALIZATION_TOL:
             raise ContexcertError(f"table not normalized: sum = {total!r}")
 

@@ -716,6 +716,51 @@ def test_oracle_refuses_a_field_of_the_wrong_type(variables, table, message, tmp
     assert (code, out, err) == (1, "", f"contexcert: error: constraint JSON: {message}\n")
 
 
+ONE = {"1,1": 1}  # no float, so that --exact reads it alike
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        # each used to read "constraint JSON missing field: " and a TypeError's text
+        ([{"support": ["A", "B"], "probs": ONE}],
+         "the top level must be an object, not [{'support': ['A', 'B'], 'probs': {'1,1': 1}}]"),
+        ({"variables": ["A", "B"], "constraints": {"support": ["A", "B"], "probs": ONE}},
+         "'constraints' must be a list of constraint tables, not {'support': ['A', 'B'], 'probs': {'1,1': 1}}"),
+        ({"variables": ["A", "B"], "constraints": [{"support": ["A", "B"], "probs": ONE}, 5]},
+         "'constraints' entry 1 must be an object, not 5"),
+        # read as "missing field: 'int' object is not iterable"
+        ({"variables": ["A", "B"], "constraints": [{"support": ["A", "B"], "probs": ONE, "alphabets": 7}]},
+         "'alphabets' must be a list of outcome lists, not 7"),
+        # a string alphabet used to be split into the outcomes '+' and '-', and then
+        # the table refused with "outcome tuple (1, 1) outside alphabet product"
+        ({"variables": ["A", "B"], "constraints": [{"support": ["A", "B"], "probs": ONE, "alphabets": ["+-", [1, -1]]}]},
+         "'alphabets' entry 0 must be a list of outcomes, not '+-'"),
+        # used to be accepted, and the table to carry it
+        ({"variables": ["A", "B"], "constraints": [{"support": ["A", "B"], "probs": ONE, "sample_size": "many"}]},
+         "'sample_size' must be a count of records, not 'many'"),
+        ({"variables": ["A", "B"], "constraints": [{"support": ["A", "B"], "probs": ONE, "sample_size": True}]},
+         "'sample_size' must be a count of records, not True"),
+    ],
+    ids=["top level a list", "constraints an object", "constraint a number", "alphabets a number",
+         "alphabet a string", "sample size a string", "sample size a boolean"],
+)
+@pytest.mark.parametrize("exact", [False, True])
+def test_oracle_names_the_malformed_field(system, message, exact, tmp_path, capsys):
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps(system))
+    code, out, err = run_cli(capsys, "oracle", "--constraints", str(cons), *(["--exact"] if exact else []))
+    assert (code, out, err) == (1, "", f"contexcert: error: constraint JSON: {message}\n")
+
+
+def test_oracle_reads_a_sample_size_and_alphabets(tmp_path, capsys):
+    table = {"support": ["A", "B"], "probs": ONE, "alphabets": [[1, -1], [1, -1]], "sample_size": 40}
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps({"variables": ["A", "B"], "constraints": [table]}))
+    code, out, err = run_cli(capsys, "oracle", "--constraints", str(cons))
+    assert (code, err, json.loads(out)["status"]) == (0, "", "feasible")
+
+
 @pytest.mark.parametrize(
     "scenario, message",
     [

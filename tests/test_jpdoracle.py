@@ -100,6 +100,32 @@ class TestPairTable:
         with pytest.raises(ContexcertError, match=rf"^non-finite correlation {re.escape(repr(corr))}$"):
             pair_table_from_correlation(("X", "Y"), corr, exact)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("corr", ["x", "1/0", None, 1j, True, False, [0.5]])
+    def test_unreadable(self, corr, exact):
+        # "x" and "1/0" used to raise a bare ValueError or ZeroDivisionError, None,
+        # 1j and a list a TypeError, and True and False were read as 1.0 and 0.0
+        with pytest.raises(ContexcertError, match=rf"^cannot read correlation {re.escape(repr(corr))} as a number$"):
+            pair_table_from_correlation(("X", "Y"), corr, exact)
+
+    @pytest.mark.parametrize(
+        "exact, message",
+        [
+            # used to read "non-finite probability nan at (1, 1)", from the table's check
+            (False, "non-finite correlation 'nan'"),
+            # used to raise a bare "ValueError: Invalid literal for Fraction: 'nan'"
+            (True, "cannot read correlation 'nan' as a number"),
+        ],
+    )
+    def test_nan_string(self, exact, message):
+        with pytest.raises(ContexcertError, match=f"^{re.escape(message)}$"):
+            pair_table_from_correlation(("X", "Y"), "nan", exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_numeric_string(self, exact):
+        table = pair_table_from_correlation(("X", "Y"), "0.5", exact)
+        assert table.probs[1, 1] == (Fraction(3, 8) if exact else 0.375)
+
     @pytest.mark.parametrize("corr", [-1, Fraction(-7, 10), 0, Fraction(1, 3), Fraction(9, 10), 1])
     def test_cells(self, corr):
         # exact cells are (1 + a*b*corr) / 4 as Fractions; float cells are

@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -452,6 +452,125 @@ class TestTableInvariants:
         for cell, count in projected.items():
             assert math.isclose(m.prob(cell), count / 200, abs_tol=1e-15)
 
+
+
+def _probtable_check_reference(support, probs, alphabets):
+    """ProbTable's check before a table of floats alone skipped its loop: the
+    cells one by one, then the sum.  Kept as the reference for the check's
+    verdicts and messages; returns the fields the table stores."""
+    support = tuple(support)
+    alphabets = tuple(tuple(a) for a in alphabets)
+    if not support:
+        raise ContexcertError("table support must be nonempty")
+    if len(set(support)) != len(support):
+        raise ContexcertError("table support repeats an observable")
+    if len(alphabets) != len(support):
+        raise ContexcertError("alphabets must match support positionally")
+    cells = frozenset(product(*alphabets))
+    probs = {tuple(k): v for k, v in dict(probs).items()}
+    for key, value in probs.items():
+        if key not in cells:
+            raise ContexcertError(f"outcome tuple {key} outside alphabet product")
+        if not (value.numerator >= 0 if type(value) is Fraction else 0 <= value < math.inf):
+            kind = "negative" if value < 0 else "non-finite"
+            raise ContexcertError(f"{kind} probability {value!r} at {key}")
+    values = list(probs.values())
+    if all(isinstance(v, (Fraction, int)) for v in values):
+        denominator = math.lcm(*(v.denominator for v in values))
+        total = Fraction(sum(v.numerator * (denominator // v.denominator) for v in values), denominator)
+    else:
+        total = math.fsum(values)
+    if total != 1 and abs(total - 1) > 1e-12:
+        raise ContexcertError(f"table not normalized: sum = {total!r}")
+    return support, probs, alphabets
+
+
+def same_outcome(build, *args):
+    """("ok", fields) or (exception type, message) of ``build(*args)``."""
+    try:
+        table = build(*args)
+    except Exception as exc:  # the reference's bare TypeErrors and OverflowErrors count too
+        return type(exc), str(exc)
+    if isinstance(table, ProbTable):
+        table = table.support, table.probs, table.alphabets
+    support, probs, alphabets = table
+    # keys, values and their types, in order
+    return "ok", (support, alphabets, [(k, type(k), v, type(v)) for k, v in probs.items()])
+
+
+PAIR_CELLS = list(product((1, -1), repeat=2))
+NUMBER_KINDS = ["float", "float64", "int", "bool", "fraction"]
+
+
+@st.composite
+def probability_mappings(draw):
+    """Mappings over two +-1 variables: mostly tables that sum to 1 within
+    about 1e-12, of floats, numpy floats, ints, bools, Fractions or a mix,
+    some with a NaN, an infinity or a negative value, a key outside the
+    product, or list keys (given as pairs), and some empty."""
+    k = draw(st.integers(0, 4))
+    keys = draw(st.permutations(PAIR_CELLS))[:k]
+    if k and draw(st.integers(0, 9)) == 0:
+        keys[draw(st.integers(0, k - 1))] = draw(st.sampled_from([(1, 2), (1,), (1, 1, 1), (0, 1), ("1", 1)]))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    kinds = draw(st.lists(st.sampled_from(NUMBER_KINDS), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        kinds = [kinds[0]] * k if k else kinds  # one kind throughout
+    values = []
+    for i, (w, kind) in enumerate(zip(weights, kinds)):
+        exact = Fraction(w, sum(weights))
+        # an int or a bool table is one 1 and zeros
+        values.append(
+            {"float": float(exact), "float64": np.float64(exact), "fraction": exact, "int": int(i == 0), "bool": i == 0}[kind]
+        )
+    if k:
+        i = draw(st.integers(0, k - 1))
+        shift = draw(st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 2e-12, -2e-12, 5e-13, 1e-11]))
+        if shift and type(values[i]) in (float, np.float64):
+            values[i] = type(values[i])(values[i] + shift)
+        if draw(st.integers(0, 5)) == 0:
+            values[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf, -0.25, -0.0, np.float64(math.nan),
+                                              Fraction(-1, 4), -1, 1e308]))
+    pairs = list(zip(keys, values))
+    if k and draw(st.integers(0, 14)) == 0:
+        return [(list(key), v) for key, v in pairs]  # dict() refuses list keys
+    return dict(pairs)
+
+
+class TestTableCheckMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(probs=probability_mappings())
+    def test_same_verdict_and_message(self, probs):
+        args = (("A", "B"), probs, ((1, -1), (1, -1)))
+        assert same_outcome(ProbTable, *args) == same_outcome(_probtable_check_reference, *args)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            # fsum overflows before it meets the nan the loop finds first
+            {(1, 1): 1e308, (1, -1): 1e308, (-1, 1): math.nan},
+            {(1, 1): 1e308, (1, -1): 1e308, (-1, 1): math.inf},
+            # an overflow on finite values is fsum's own error, in both
+            {(1, 1): 1e308, (1, -1): 1e308},
+            {(1, 1): math.inf, (1, -1): -math.inf},
+            {(1, 1): -0.0, (1, -1): 1.0},
+            {(1, 1): 0.5, (1, -1): 0.5 + 1e-12},
+            {(1, 1): 0.5, (1, -1): 0.5 + 2e-12},
+            {(1, 1): 1.0, (1, 2): 0.0},
+            {(1, 1): 1.0, (1, -1): np.float64(0.0)},
+            {(1, 1): 1.0, (1, -1): True, (-1, 1): -1.0},
+            {(1.0, 1): 0.5, (True, -1): 0.5},
+            {},
+        ],
+    )
+    def test_edge_cases(self, probs):
+        args = (("A", "B"), probs, ((1, -1), (1, -1)))
+        assert same_outcome(ProbTable, *args) == same_outcome(_probtable_check_reference, *args)
+
+    def test_tuple_subclass_keys_become_tuples(self):
+        Cell = namedtuple("Cell", "a b")
+        table = ProbTable(("A", "B"), {Cell(1, 1): 0.5, (1, -1): 0.5}, ((1, -1), (1, -1)))
+        assert [type(k) for k in table.probs] == [tuple, tuple]
 
 class TestDataset:
     def test_records_roundtrip_iteration(self):
